@@ -19,8 +19,8 @@ from .errors import IdealTopError
 from .ideal import Ideal, ideal_to_json
 from .jsonio import parse_instance, parse_space
 from .maps import FiniteMap, map_to_json
-from .space import (Topology, format_mask, full_mask, mask_of, sierpinski,
-                    topology_to_json)
+from .space import (MAX_POINTS, Topology, format_mask, full_mask, mask_of,
+                    sierpinski, topology_to_json)
 from .star import (IdealSpace, is_compatible, local_function, psi,
                    psi_topology, star_closure, star_topology)
 
@@ -366,8 +366,9 @@ def cmd_enumerate(args) -> int:
         items = search_mod.enumerate_topologies(n)
         render = lambda t: json.dumps(topology_to_json(t))
     elif args.what == "ideals":
-        if n > 16:
-            raise IdealTopError(f"ideal enumeration needs n <= 16, got {n}")
+        if n > MAX_POINTS:
+            raise IdealTopError(
+                f"ideal enumeration needs n <= {MAX_POINTS}, got {n}")
         items = search_mod.enumerate_ideals(n)
         render = lambda i: json.dumps(ideal_to_json(i))
     else:

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import IdealTopError, InputFileError
 from .ideal import Ideal, make_ideal
 from .maps import FiniteMap
-from .space import Topology, full_mask, make_topology, mask_of
+from .space import MAX_POINTS, Topology, full_mask, make_topology, mask_of
 
 
 def _expect_dict(doc: Any, where: str) -> dict:
@@ -52,8 +52,9 @@ def parse_topology(doc: Any, where: str = "topology") -> Topology:
     if "n" not in d:
         raise InputFileError(f"{where}: missing required key 'n'")
     n = _expect_int(d["n"], f"{where}.n")
-    if not 1 <= n <= 16:
-        raise InputFileError(f"{where}.n: point count {n} outside 1..16")
+    if not 1 <= n <= MAX_POINTS:
+        raise InputFileError(
+            f"{where}.n: point count {n} outside 1..{MAX_POINTS}")
     opens = {0, full_mask(n)}
     for i, o in enumerate(_expect_list(d.get("opens", []), f"{where}.opens")):
         opens.add(_point_list_to_mask(o, n, f"{where}.opens[{i}]"))
@@ -69,8 +70,9 @@ def parse_ideal(doc: Any, n: int | None = None, where: str = "ideal") -> Ideal:
         n = _expect_int(d["n"], f"{where}.n")
     if n is None:
         raise InputFileError(f"{where}: missing 'n' and no surrounding space to take it from")
-    if not 1 <= n <= 16:
-        raise InputFileError(f"{where}.n: point count {n} outside 1..16")
+    if not 1 <= n <= MAX_POINTS:
+        raise InputFileError(
+            f"{where}.n: point count {n} outside 1..{MAX_POINTS}")
     if "carrier" in d:
         return Ideal(n, _point_list_to_mask(d["carrier"], n, f"{where}.carrier"))
     if "generators" in d:

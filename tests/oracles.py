@@ -130,3 +130,74 @@ def closure_definitional(n: int, opens, a: int) -> int:
     for c in closed_supersets:
         out &= c
     return out
+
+
+# -- predicates the package evaluates in closed form ---------------------------
+# These are the package's former library bodies, kept unchanged; they take an
+# IdealSpace and read its opens, minimal neighborhoods and ideal membership.
+
+def is_compatible_by_definition(s) -> bool:
+    """Whether locally small sets are small.
+
+    A set is locally small when every one of its points has a neighborhood
+    meeting it in a small set; compatibility demands all such sets belong to
+    the ideal.  Checked over all subsets.
+    """
+    m = s.ideal.carrier
+    mn = s.top.min_nbhd
+    for a in range(s.full + 1):
+        locally_small = True
+        rest = a
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            if mn[x] & a & ~m:
+                locally_small = False
+                break
+            rest &= rest - 1
+        if locally_small and a & ~m:
+            return False
+    return True
+
+
+def is_ideal_compact_by_definition(s) -> bool:
+    """Whether every open cover has a finite subfamily whose uncovered
+    remainder is small.
+
+    Enumerates every family of nonempty opens that covers the space, then
+    its subfamilies.  The cover enumeration is capped; above the cap the
+    finite-cover argument (a finite cover is its own subfamily, with empty
+    remainder) stands in.
+    """
+    opens = [u for u in s.top.opens() if u]
+    if len(opens) > 20:
+        return s.ideal.contains(0)
+    full = s.full
+    for pick in range(1 << len(opens)):
+        union = 0
+        members = []
+        rest = pick
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            union |= opens[i]
+            members.append(opens[i])
+            rest &= rest - 1
+        if union != full:
+            continue
+        if not any(s.ideal.contains(full & ~sub_union)
+                   for sub_union in _subfamily_unions(members)):
+            return False
+    return True
+
+
+def _subfamily_unions(members: list[int]):
+    # the full union comes first, so the search above exits immediately
+    yield _union(members)
+    for pick in range(1 << len(members)):
+        yield _union([m for i, m in enumerate(members) if (pick >> i) & 1])
+
+
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out

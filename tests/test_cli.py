@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from idealtop import cli
+from idealtop import MAX_POINTS, cli
 
 
 @pytest.fixture
@@ -60,6 +60,22 @@ def test_star_invalid_topology_is_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["star", str(path), "local", "0"]) == 2
+
+
+def test_star_topology_over_point_cap_is_exit_2(tmp_path, capsys):
+    n = MAX_POINTS + 1
+    assert n == 17
+    doc = {"topology": {"n": n, "opens": []}, "ideal": {"carrier": []}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["star", str(path), "local", "0"]) == 2
+    assert f"point count {n} outside 1..{MAX_POINTS}" in capsys.readouterr().err
+
+
+def test_enumerate_ideals_over_point_cap_is_exit_2(capsys):
+    assert cli.main(["enumerate", "--what", "ideals", "--n",
+                     str(MAX_POINTS + 1), "--count-only"]) == 2
+    assert f"needs n <= {MAX_POINTS}" in capsys.readouterr().err
 
 
 def test_check_identity_instance_passes(identity_instance_file, capsys):

@@ -1,11 +1,13 @@
 """Local function, star closure, psi, star topology, compatibility, laws."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from idealtop import (Ideal, IdealSpace, check_local_function_laws, discrete,
-                      full_mask, indiscrete, is_compatible, is_ideal_compact,
-                      local_function, local_function_by_definition, psi,
+from idealtop import (Ideal, IdealSpace, Topology, check_local_function_laws,
+                      discrete, full_mask, indiscrete, is_compatible,
+                      is_ideal_compact, local_function,
+                      local_function_by_definition, points_of, psi,
                       psi_topology, sierpinski, star_closure, star_topology)
 from idealtop.errors import DimensionMismatch
 from idealtop.search import enumerate_ideals, enumerate_topologies
@@ -140,6 +142,70 @@ def test_is_ideal_compact_constant_true():
     for s in spaces(3):
         assert is_ideal_compact(s)
     assert is_ideal_compact(IdealSpace(discrete(3), Ideal(3, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_forms_match_definitional_oracles(n):
+    for s in spaces(n):
+        assert is_compatible(s) == oracles.is_compatible_by_definition(s)
+        assert is_ideal_compact(s) == oracles.is_ideal_compact_by_definition(s)
+
+
+@st.composite
+def preorder_spaces(draw):
+    """A random preorder on 5-7 points with at most 14 nonempty opens, so the
+    cover enumeration of the oracle stays bounded, and any carrier."""
+    n = draw(st.integers(5, 7))
+    table = [(1 << x) | sum(1 << y for y in draw(
+        st.sets(st.integers(0, n - 1), max_size=3))) for x in range(n)]
+    # transitive closure: a minimal neighborhood holds those of its points
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            nb = table[x]
+            for y in points_of(nb):
+                nb |= table[y]
+            changed |= nb != table[x]
+            table[x] = nb
+    top = Topology(n, tuple(table))
+    assume(len(top.opens()) - 1 <= 14)
+    return IdealSpace(top, Ideal(n, draw(st.integers(0, full_mask(n)))))
+
+
+@settings(max_examples=200)
+@given(preorder_spaces())
+def test_closed_forms_match_oracles_on_random_preorders(s):
+    assert is_compatible(s) == oracles.is_compatible_by_definition(s)
+    assert is_ideal_compact(s) == oracles.is_ideal_compact_by_definition(s)
+
+
+def test_closed_forms_read_no_opens(monkeypatch):
+    # a Sierpinski space beside a 6-point chain: 3 * 7 opens, 20 nonempty
+    chain = tuple(full_mask(8) & ~((1 << k) - 1) for k in range(2, 8))
+    twenty = Topology(8, (0b11, 0b10) + chain)
+    assert len(twenty.opens()) - 1 == 20
+    sides = [IdealSpace(twenty, Ideal(8, 0b10010110)),
+             IdealSpace(discrete(7), Ideal(7, 0))]
+    calls = {"contains": 0, "opens": 0}
+    contains, opens = Ideal.contains, Topology.opens
+
+    def counted_contains(self, a):
+        calls["contains"] += 1
+        return contains(self, a)
+
+    def counted_opens(self):
+        calls["opens"] += 1
+        return opens(self)
+
+    monkeypatch.setattr(Ideal, "contains", counted_contains)
+    monkeypatch.setattr(Topology, "opens", counted_opens)
+    for s in sides:
+        assert is_ideal_compact(s)
+        assert calls == {"contains": 1, "opens": 0}
+        assert is_compatible(s)
+        assert calls == {"contains": 1, "opens": 0}
+        calls["contains"] = 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
