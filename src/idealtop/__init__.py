@@ -8,8 +8,8 @@ theorem variants over every instance with a few points.
 """
 
 from .errors import (BadMask, BadPoint, CapExceeded, DimensionMismatch,
-                     IdealTopError, InputFileError, InternalCheckError,
-                     NotATopology, UnknownHypothesisName, UnknownTheorem)
+                     IdealTopError, InputFileError, NotATopology,
+                     UnknownHypothesisName, UnknownTheorem)
 from .space import (MAX_POINTS, SeparationProfile, Topology, closure,
                     discrete, format_mask, full_mask, generate_topology,
                     indiscrete, interior, is_open, make_topology, mask_of,

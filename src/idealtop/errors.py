@@ -35,11 +35,6 @@ class UnknownHypothesisName(IdealTopError):
     """A dropped-hypothesis name does not occur in the theorem."""
 
 
-class InternalCheckError(IdealTopError):
-    """Two supposedly equivalent computations disagreed.  Never expected;
-    indicates a bug rather than bad input."""
-
-
 class InputFileError(IdealTopError):
     """A JSON input document failed to parse into a valid object.  The
     message carries the position (path) of the offending element."""

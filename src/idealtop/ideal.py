@@ -3,9 +3,9 @@
 An ideal is a family of "small" subsets containing the empty set and closed
 downward and under finite unions.  On a finite ground set every such family
 is the power set of its union, so an ideal is stored as that union: the
-carrier mask ``M``, with membership ``A in I  iff  A <= M``.  The quantifier
-forms of the transfer conditions are still evaluated alongside the carrier
-shortcuts to guard the representation (see :func:`transfer_conditions`).
+carrier mask ``M``, with membership ``A in I  iff  A <= M``.  The transfer
+conditions are evaluated by carrier shortcuts; their quantifier forms over
+ideal members are pinned to them in the test oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TYPE_CHECKING
 
-from .errors import DimensionMismatch, InternalCheckError
+from .errors import DimensionMismatch
 from .space import check_mask, check_point_count, format_mask, full_mask, submasks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,9 +106,9 @@ class TransferConditions:
 def transfer_conditions(f: "FiniteMap", dom: Ideal, cod: Ideal) -> TransferConditions:
     """Evaluate the three ideal-transfer conditions for ``f``.
 
-    Each flag is computed twice: once by quantifying over ideal members and
-    once by the carrier shortcut.  A disagreement would mean the carrier
-    representation is broken, so it raises InternalCheckError.
+    With carriers ``M`` and ``N``: preimages of small sets are small iff
+    ``f^-1[N] <= M``, images of small sets are small iff ``f[M] <= N``, and
+    smallness is preserved and reflected iff both hold.
     """
     if f.n_dom != dom.n:
         raise DimensionMismatch(
@@ -117,21 +117,9 @@ def transfer_conditions(f: "FiniteMap", dom: Ideal, cod: Ideal) -> TransferCondi
         raise DimensionMismatch(
             f"map codomain has {f.n_cod} points, codomain ideal lives on {cod.n}")
 
-    pre_q = all(dom.contains(f.preimage(i)) for i in cod.members())
-    pre_s = not f.preimage(cod.carrier) & ~dom.carrier
-    img_q = all(cod.contains(f.image(i)) for i in dom.members())
-    img_s = not f.image(dom.carrier) & ~cod.carrier
-    eq_q = all(dom.contains(i) == cod.contains(f.image(i))
-               for i in range(1 << dom.n))
-    eq_s = pre_s and img_s
-
-    for name, q, s in (("preimage_ok", pre_q, pre_s),
-                       ("image_ok", img_q, img_s),
-                       ("equivalence_ok", eq_q, eq_s)):
-        if q != s:
-            raise InternalCheckError(
-                f"{name}: quantifier form gives {q} but carrier shortcut gives {s}")
-    return TransferConditions(pre_s, img_s, eq_s)
+    pre_ok = not f.preimage(cod.carrier) & ~dom.carrier
+    img_ok = not f.image(dom.carrier) & ~cod.carrier
+    return TransferConditions(pre_ok, img_ok, pre_ok and img_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadPoint, DimensionMismatch, InternalCheckError
+from .errors import BadPoint, DimensionMismatch
 from .space import Topology, check_mask, check_point_count, full_mask
 
 
@@ -143,23 +143,16 @@ def _check_dims(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> None:
             f"{t_dom.n} and {t_cod.n} points")
 
 
-def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology,
-             paranoid: bool = False) -> MapProfile:
+def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """Classify ``f`` between two topologies.
 
-    Continuity is decided by open preimages; with ``paranoid=True`` all five
-    textbook characterizations are evaluated and must agree (a mismatch
-    raises InternalCheckError).
+    Continuity is decided by open preimages; the other four textbook
+    characterizations are in :func:`continuity_characterizations`.
     """
     _check_dims(f, t_dom, t_cod)
     pre = preimage_table(f)
     img = image_table(f)
     continuous = all(t_dom.is_open(pre[o]) for o in t_cod.opens())
-    if paranoid:
-        chars = continuity_characterizations(f, t_dom, t_cod)
-        if len(set(chars.values())) != 1:
-            raise InternalCheckError(
-                f"continuity characterizations disagree: {chars}")
     open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
     closed_map = all(t_cod.is_closed(img[c]) for c in t_dom.closed_sets())
     return MapProfile(continuous, open_map, closed_map, f.injective, f.surjective)

@@ -26,7 +26,7 @@ from .errors import CapExceeded, UnknownHypothesisName
 from .ideal import Ideal
 from .maps import FiniteMap
 from .space import Topology, full_mask
-from .star import IdealSpace
+from .star import IdealSpace, _side_tables
 from . import theorems as thm
 
 TOPOLOGY_ENUM_CAP = 5  # labeled topologies on 6+ points are out of reach here
@@ -180,10 +180,10 @@ class _Workspace:
         self.tops_x = list(enumerate_topologies(n_dom))
         self.tops_y = (self.tops_x if n_cod == n_dom
                        else list(enumerate_topologies(n_cod)))
-        self.sides_x = [[thm._side_tables(t, m)
+        self.sides_x = [[_side_tables(t, m)
                          for m in range(full_mask(n_dom) + 1)]
                         for t in self.tops_x]
-        self.sides_y = [[thm._side_tables(t, m)
+        self.sides_y = [[_side_tables(t, m)
                          for m in range(full_mask(n_cod) + 1)]
                         for t in self.tops_y]
         self.maps = list(enumerate_maps(n_dom, n_cod))

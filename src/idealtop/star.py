@@ -13,19 +13,29 @@ Every ideal on a finite set is a carrier ideal: the power set of a carrier
 ``M``.  With it the local function collapses to ``closure(A - M)``; the
 definitional quantifier over all open neighborhoods is kept as
 :func:`local_function_by_definition` so tests can pin the shortcut to it.
-Compatibility and smallness-compactness are constantly true on such spaces
-and are evaluated in that closed form, with the proof in each docstring;
-their definitional loops live in the test oracles (``tests/oracles.py``).
+
+Each (topology, carrier) pair has one set of tables (:class:`_Side`, built
+once and cached by :func:`_side_tables`): the local function and psi of
+every subset, the star and psi topologies, and the constant predicates.
+The operators below read those tables, and so do the theorem checkers and
+the search, so every operator has exactly one implementation.  The star
+topology is built in closed form from its minimal neighborhoods
+``(N(x) - M) | {x}`` (see :class:`_Side`).  Compatibility and
+smallness-compactness are constantly true on such spaces and are evaluated
+in that closed form, with the proof in each docstring; their definitional
+loops, like the second routes to the star topology and psi, live in the
+test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import DimensionMismatch, InternalCheckError
+from .errors import DimensionMismatch
 from .ideal import Ideal
-from .space import (Topology, check_mask, format_mask, make_topology,
-                    generate_topology)
+from .space import (Topology, check_mask, format_mask, generate_topology,
+                    separation_profile)
 
 
 @dataclass(frozen=True)
@@ -53,23 +63,107 @@ class IdealSpace:
 
 
 # ---------------------------------------------------------------------------
+# per-topology and per-(topology, carrier) tables
+# ---------------------------------------------------------------------------
+
+def _bitmap(masks) -> int:
+    """Membership bitmap over subset indices: bit ``a`` is set iff ``a`` is
+    one of ``masks``."""
+    bm = 0
+    for a in masks:
+        bm |= 1 << a
+    return bm
+
+
+class _TopT:
+    """Per-topology tables: closure of every subset, open family as list and
+    as a membership bitmap over subset indices, separation flags."""
+
+    __slots__ = ("top", "n", "full", "min_nbhd", "cl", "opens", "opens_bm",
+                 "regular", "hausdorff")
+
+    def __init__(self, top: Topology) -> None:
+        self.top = top
+        self.n = top.n
+        self.full = top.full
+        self.min_nbhd = top.min_nbhd
+        self.cl = tuple(top.closure(a) for a in range(self.full + 1))
+        self.opens = top.opens()
+        self.opens_bm = _bitmap(self.opens)
+        prof = separation_profile(top)
+        self.regular = prof.regular
+        self.hausdorff = prof.hausdorff
+
+
+class _Side:
+    """Per-(topology, carrier) tables: local function and psi of every
+    subset, the star and psi topologies with their opens, compatibility,
+    smallness-compactness, and the flag for the whole space being its own
+    local function.
+
+    The star topology is built in closed form.  ``U`` is star-open iff its
+    complement ``C`` holds its own local function ``closure(C - M)``, that
+    is iff no point of ``U`` has a minimal neighborhood meeting ``C - M``:
+    iff ``N(x) - M <= U`` for every ``x`` in ``U``.  So ``(N(x) - M) | {x}``
+    is the minimal star neighborhood of ``x``: Jankovic and Hamlett's basis
+    set ``V - I`` of the star topology with ``V = N(x)`` and ``I = M - {x}``.
+    The table is transitive: ``y`` in ``N(x) - M`` gives ``N(y) <= N(x)``,
+    hence ``N(y) - M <= N(x) - M``.
+    """
+
+    __slots__ = ("tt", "n", "full", "carrier", "star", "psi",
+                 "star_top", "star_opens", "star_opens_bm",
+                 "psi_top", "psi_opens", "psi_opens_bm",
+                 "compatible", "star_full", "ideal_compact")
+
+    def __init__(self, tt: _TopT, carrier: int) -> None:
+        self.tt = tt
+        self.n = n = tt.n
+        self.full = full = tt.full
+        self.carrier = carrier
+        cl = tt.cl
+        not_m = full & ~carrier
+        self.star = star = tuple(cl[a & not_m] for a in range(full + 1))
+        self.psi = tuple(full ^ star[full ^ a] for a in range(full + 1))
+        self.star_top = Topology(n, tuple((nb & not_m) | 1 << x
+                                          for x, nb in enumerate(tt.min_nbhd)))
+        self.star_opens = self.star_top.opens()
+        self.star_opens_bm = _bitmap(self.star_opens)
+        self.psi_top = generate_topology(n, {self.psi[u] for u in tt.opens})
+        self.psi_opens = self.psi_top.opens()
+        self.psi_opens_bm = _bitmap(self.psi_opens)
+        space = IdealSpace(tt.top, Ideal(n, carrier))
+        self.compatible = is_compatible(space)
+        self.star_full = star[full] == full
+        self.ideal_compact = is_ideal_compact(space)
+
+
+@lru_cache(maxsize=None)
+def _top_tables(top: Topology) -> _TopT:
+    return _TopT(top)
+
+
+@lru_cache(maxsize=None)
+def _side_tables(top: Topology, carrier: int) -> _Side:
+    return _Side(_top_tables(top), carrier)
+
+
+def _side_of(s: IdealSpace) -> _Side:
+    return _side_tables(s.top, s.ideal.carrier)
+
+
+# ---------------------------------------------------------------------------
 # local function and friends
 # ---------------------------------------------------------------------------
 
 def local_function(s: IdealSpace, a: int) -> int:
     """Points whose every neighborhood meets ``a`` in a non-small set.
 
-    Computed through minimal neighborhoods: x qualifies iff
-    ``min_nbhd[x] & a`` is not in the ideal, equivalently iff
-    ``closure(a - carrier)`` contains x.
+    Read from the side tables, where it is ``closure(a - carrier)``:
+    x qualifies iff ``min_nbhd[x] & a`` is not in the ideal.
     """
     check_mask(a, s.n)
-    m = s.ideal.carrier
-    out = 0
-    for x, nb in enumerate(s.top.min_nbhd):
-        if nb & a & ~m:
-            out |= 1 << x
-    return out
+    return _side_of(s).star[a]
 
 
 def local_function_by_definition(s: IdealSpace, a: int) -> int:
@@ -87,55 +181,27 @@ def local_function_by_definition(s: IdealSpace, a: int) -> int:
 
 def star_closure(s: IdealSpace, a: int) -> int:
     """``a`` together with its local function; a Kuratowski closure."""
-    return a | local_function(s, a)
+    check_mask(a, s.n)
+    return a | _side_of(s).star[a]
 
 
 def psi(s: IdealSpace, a: int) -> int:
-    """Complement of the local function of the complement.
-
-    The result is always open in the base topology; that is asserted here
-    because several checkers rely on it.
-    """
+    """Complement of the local function of the complement; always open in
+    the base topology, being the complement of a closure."""
     check_mask(a, s.n)
-    out = s.full & ~local_function(s, s.full & ~a)
-    if not s.top.is_open(out):
-        raise InternalCheckError(
-            f"psi({format_mask(a)}) = {format_mask(out)} is not open")
-    return out
+    return _side_of(s).psi[a]
 
 
 def star_topology(s: IdealSpace) -> Topology:
-    """The finer topology whose closed sets are the ``A* <= A`` sets.
-
-    Built from the star-closed sets and re-verified against the membership
-    test ``U <= psi(U)``; a discrepancy between the two constructions is an
-    internal error, never silently resolved.  The result always sits between
-    the base topology and the discrete topology.
-    """
-    full = s.full
-    opens_from_closed = []
-    opens_from_psi = []
-    for u in range(full + 1):
-        c = full & ~u
-        if not local_function(s, c) & ~c:
-            opens_from_closed.append(u)
-        if not u & ~psi(s, u):
-            opens_from_psi.append(u)
-    if opens_from_closed != opens_from_psi:
-        raise InternalCheckError(
-            "star topology mismatch: closed-set route gives "
-            f"{[format_mask(u) for u in opens_from_closed]}, psi route gives "
-            f"{[format_mask(u) for u in opens_from_psi]}")
-    result = make_topology(s.n, opens_from_closed)
-    base = set(s.top.opens())
-    if not base.issubset(opens_from_closed):
-        raise InternalCheckError("star topology is not finer than the base")
-    return result
+    """The finer topology whose closed sets are the ``A* <= A`` sets, with
+    minimal neighborhoods ``(N(x) - M) | {x}`` (see :class:`_Side`).  It
+    always sits between the base topology and the discrete topology."""
+    return _side_of(s).star_top
 
 
 def psi_topology(s: IdealSpace) -> Topology:
     """Smallest topology containing the psi-image of every open set."""
-    return generate_topology(s.n, {psi(s, u) for u in s.top.opens()})
+    return _side_of(s).psi_top
 
 
 def is_compatible(s: IdealSpace) -> bool:

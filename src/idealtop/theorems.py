@@ -47,9 +47,10 @@ from typing import Callable, Optional
 from .errors import (BadPoint, CapExceeded, DimensionMismatch, UnknownTheorem)
 from .ideal import Ideal
 from .maps import FiniteMap, MapProfile, classify, image_table, preimage_table
-from .space import (MAX_POINTS, Topology, full_mask, points_of,
-                    separation_profile)
-from .star import IdealSpace, is_compatible, is_ideal_compact
+from .space import MAX_POINTS, Topology, full_mask, points_of
+from .star import IdealSpace, _Side, _side_tables
+# unused here; perfbench/tracer.py wraps these attributes of this module by name
+from .star import is_compatible, is_ideal_compact
 from . import jsonio
 from . import ideal as ideal_mod
 from . import maps as maps_mod
@@ -148,74 +149,9 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# precomputed tables (shared with the search engine)
+# precomputed tables (shared with the search engine); the per-side tables
+# live with the operators in ``star``
 # ---------------------------------------------------------------------------
-
-class _TopT:
-    """Per-topology tables: closure of every subset, open family as list and
-    as a membership bitmap over subset indices, separation flags."""
-
-    __slots__ = ("top", "n", "full", "min_nbhd", "cl", "opens", "opens_bm",
-                 "closeds", "regular", "hausdorff")
-
-    def __init__(self, top: Topology) -> None:
-        self.top = top
-        self.n = top.n
-        self.full = top.full
-        self.min_nbhd = top.min_nbhd
-        self.cl = tuple(top.closure(a) for a in range(self.full + 1))
-        self.opens = top.opens()
-        bm = 0
-        for o in self.opens:
-            bm |= 1 << o
-        self.opens_bm = bm
-        self.closeds = top.closed_sets()
-        prof = separation_profile(top)
-        self.regular = prof.regular
-        self.hausdorff = prof.hausdorff
-
-
-class _Side:
-    """Per-(topology, carrier) tables: local function and psi of every
-    subset, the star and psi topologies, compatibility, and the flag for
-    the whole space being its own local function."""
-
-    __slots__ = ("tt", "n", "full", "carrier", "star", "psi",
-                 "star_opens", "star_opens_bm", "psi_opens", "psi_opens_bm",
-                 "compatible", "star_full", "ideal_compact", "space")
-
-    def __init__(self, tt: _TopT, carrier: int) -> None:
-        self.tt = tt
-        self.n = tt.n
-        self.full = tt.full
-        self.carrier = carrier
-        cl = tt.cl
-        not_m = self.full & ~carrier
-        self.star = tuple(cl[a & not_m] for a in range(self.full + 1))
-        full = self.full
-        star = self.star
-        self.psi = tuple(full ^ star[full ^ a] for a in range(full + 1))
-        # U open in the star topology iff its complement absorbs its own
-        # local function
-        star_opens = tuple(u for u in range(full + 1)
-                           if not star[full ^ u] & ~(full ^ u))
-        self.star_opens = star_opens
-        bm = 0
-        for o in star_opens:
-            bm |= 1 << o
-        self.star_opens_bm = bm
-        psi_top = space_mod.generate_topology(
-            self.n, {self.psi[u] for u in tt.opens})
-        self.psi_opens = psi_top.opens()
-        bm = 0
-        for o in self.psi_opens:
-            bm |= 1 << o
-        self.psi_opens_bm = bm
-        self.space = IdealSpace(tt.top, Ideal(self.n, carrier))
-        self.compatible = is_compatible(self.space)
-        self.star_full = star[full] == full
-        self.ideal_compact = is_ideal_compact(self.space)
-
 
 class _MapT:
     """Per-map tables: image and preimage of every subset, and the two
@@ -242,16 +178,6 @@ class _Ctx:
         self.sy = sy
         self.mt = mt
         self.prof = prof
-
-
-@lru_cache(maxsize=None)
-def _top_tables(top: Topology) -> _TopT:
-    return _TopT(top)
-
-
-@lru_cache(maxsize=None)
-def _side_tables(top: Topology, carrier: int) -> _Side:
-    return _Side(_top_tables(top), carrier)
 
 
 @lru_cache(maxsize=None)

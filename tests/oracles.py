@@ -122,6 +122,18 @@ def local_function_definitional(n: int, opens, carrier: int, a: int) -> int:
     return out
 
 
+def star_opens_by_definition(n: int, opens, carrier: int):
+    """The star topology's opens by its two definitions, as a pair of
+    ascending tuples: complements of the sets C with C* <= C, and the sets
+    U with U <= psi(U) = X - (X - U)*."""
+    local = [local_function_definitional(n, opens, carrier, a)
+             for a in subsets(n)]
+    f = full(n)
+    by_closed = tuple(u for u in subsets(n) if not local[f & ~u] & ~(f & ~u))
+    by_psi = tuple(u for u in subsets(n) if not u & ~(f & ~local[f & ~u]))
+    return by_closed, by_psi
+
+
 def closure_definitional(n: int, opens, a: int) -> int:
     """Smallest superset of ``a`` whose complement is open."""
     closed_supersets = [full(n) & ~u for u in opens
@@ -133,8 +145,19 @@ def closure_definitional(n: int, opens, a: int) -> int:
 
 
 # -- predicates the package evaluates in closed form ---------------------------
-# These are the package's former library bodies, kept unchanged; they take an
-# IdealSpace and read its opens, minimal neighborhoods and ideal membership.
+# These are the package's former library bodies, kept unchanged; they take
+# the package's objects and read only their raw data: opens, minimal
+# neighborhoods, ideal membership, images and preimages.
+
+def transfer_conditions_by_definition(f, dom, cod) -> tuple[bool, bool, bool]:
+    """(preimage_ok, image_ok, equivalence_ok) by quantifying over ideal
+    members and over all domain subsets."""
+    pre_q = all(dom.contains(f.preimage(i)) for i in cod.members())
+    img_q = all(cod.contains(f.image(i)) for i in dom.members())
+    eq_q = all(dom.contains(i) == cod.contains(f.image(i))
+               for i in range(1 << dom.n))
+    return pre_q, img_q, eq_q
+
 
 def is_compatible_by_definition(s) -> bool:
     """Whether locally small sets are small.

@@ -41,6 +41,18 @@ def test_star_tau_star_echoes_topology_on_trivial_ideal(tmp_path, capsys):
     assert out == {"n": 2, "opens": [[], [1], [0, 1]]}
 
 
+def test_star_tau_star_on_the_largest_discrete_space(tmp_path, capsys):
+    # 2**16 opens: parsing and the star topology must stay linear in the
+    # number of opens, as a pass over pairs of opens would not finish
+    n = MAX_POINTS
+    opens = [[x for x in range(n) if (u >> x) & 1] for u in range(1 << n)]
+    doc = {"topology": {"n": n, "opens": opens}, "ideal": {"carrier": [0, 5]}}
+    path = tmp_path / "discrete.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["star", str(path), "tau_star"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": n, "opens": opens}
+
+
 def test_star_compat(space_file, capsys):
     assert cli.main(["star", space_file, "compat"]) == 0
     assert capsys.readouterr().out.strip() == "true"

@@ -78,13 +78,12 @@ def test_transfer_conditions_dimension_mismatch():
 
 @pytest.mark.parametrize("n_dom,n_cod", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_transfer_quantifier_and_shortcut_agree_exhaustively(n_dom, n_cod):
-    # transfer_conditions cross-checks internally and raises on mismatch,
-    # so driving it over everything is the exhaustiveness test
     for f in enumerate_maps(n_dom, n_cod):
         for dom in enumerate_ideals(n_dom):
             for cod in enumerate_ideals(n_cod):
                 t = transfer_conditions(f, dom, cod)
-                assert t.equivalence_ok == (t.preimage_ok and t.image_ok)
+                assert (t.preimage_ok, t.image_ok, t.equivalence_ok) == \
+                    oracles.transfer_conditions_by_definition(f, dom, cod)
 
 
 def test_ideal_json_forms():

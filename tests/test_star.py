@@ -144,11 +144,24 @@ def test_is_ideal_compact_constant_true():
     assert is_ideal_compact(IdealSpace(discrete(3), Ideal(3, 0)))
 
 
+def assert_closed_forms_match_oracles(s):
+    assert is_compatible(s) == oracles.is_compatible_by_definition(s)
+    assert is_ideal_compact(s) == oracles.is_ideal_compact_by_definition(s)
+    # the star topology, built from the minimal neighborhoods (N(x) - M) | {x},
+    # against both of its definitions; it is finer than the base topology,
+    # and psi lands in the base topology
+    opens = s.top.opens()
+    by_closed, by_psi = oracles.star_opens_by_definition(
+        s.n, opens, s.ideal.carrier)
+    assert star_topology(s).opens() == by_closed == by_psi
+    assert set(opens) <= set(by_closed)
+    assert all(psi(s, u) in opens for u in range(s.full + 1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_forms_match_definitional_oracles(n):
     for s in spaces(n):
-        assert is_compatible(s) == oracles.is_compatible_by_definition(s)
-        assert is_ideal_compact(s) == oracles.is_ideal_compact_by_definition(s)
+        assert_closed_forms_match_oracles(s)
 
 
 @st.composite
@@ -176,8 +189,7 @@ def preorder_spaces(draw):
 @settings(max_examples=200)
 @given(preorder_spaces())
 def test_closed_forms_match_oracles_on_random_preorders(s):
-    assert is_compatible(s) == oracles.is_compatible_by_definition(s)
-    assert is_ideal_compact(s) == oracles.is_ideal_compact_by_definition(s)
+    assert_closed_forms_match_oracles(s)
 
 
 def test_closed_forms_read_no_opens(monkeypatch):
