@@ -11,6 +11,12 @@ Hypothesis evaluation is staged: map/topology-level hypotheses gate a whole
 ideal block before the carrier loops run, which is what makes the full
 13-theorem certification at three points a matter of seconds rather than
 hours.
+
+Every statement is invariant under relabeling the points, so an unrestricted
+scan first walks one (topology, carrier) per relabeling class on each side,
+paired with every map, and rescans a size pair label by label only when that
+reduced scan finds a hit (see :func:`_search`).  Carrier-restricted scans and
+sampling are always labeled.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, field
+from itertools import permutations
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, UnknownHypothesisName
 from .ideal import Ideal
@@ -142,9 +149,13 @@ class SearchReport:
     sampled: bool = False
     seed: Optional[int] = None
     ideal_carriers: Optional[tuple[int, ...]] = None
+    # how the result was reached: ``instances_scanned`` (instances in the
+    # blocks actually walked) and ``labeled_rescans`` (size pairs rescanned
+    # label by label after a hit among the relabeling representatives)
+    stats: dict = field(default_factory=dict, compare=False)
 
     def same_result(self, other: "SearchReport") -> bool:
-        """Equality up to wall-clock time."""
+        """Equality up to wall-clock time and scan statistics."""
         keep = lambda r: (r.theorem_id, r.dropped_hypotheses, r.bounds,
                           r.instances_checked, r.certified, r.exhaustive,
                           r.sampled, r.seed, r.ideal_carriers,
@@ -168,12 +179,47 @@ class SearchReport:
             "counterexample": (None if self.counterexample is None
                                else self.counterexample.to_json()),
             "elapsed_seconds": self.elapsed_seconds,
+            "stats": dict(self.stats),
         }
 
 
 # ---------------------------------------------------------------------------
 # per-size workspace, cached per process
 # ---------------------------------------------------------------------------
+
+def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
+    """Representatives of the (topology, carrier) pairs on ``n`` points up
+    to relabeling, given every topology on ``n`` points in enumeration order.
+
+    One entry per class of topologies under the permutations of the points:
+    the least index ``ix`` in the class, with the least carrier of each
+    orbit of the automorphism group of ``tops[ix]`` on carriers.  So every
+    representative pair is the least (index, carrier) of its orbit.
+    """
+    n = tops[0].n
+    index = {t.min_nbhd: i for i, t in enumerate(tops)}
+    # each permutation p of the points, with the image of every subset under p
+    moved = [(p, [sum(1 << p[x] for x in range(n) if (a >> x) & 1)
+                  for a in range(1 << n)])
+             for p in permutations(range(n))]
+    seen: set[int] = set()
+    reps = []
+    for ix, t in enumerate(tops):
+        if ix in seen:
+            continue
+        automorphisms = []
+        for p, mv in moved:
+            table = [0] * n
+            for x, nb in enumerate(t.min_nbhd):
+                table[p[x]] = mv[nb]
+            j = index[tuple(table)]
+            seen.add(j)
+            if j == ix:
+                automorphisms.append(mv)
+        carriers = {min(mv[c] for mv in automorphisms) for c in range(1 << n)}
+        reps.append((ix, tuple(sorted(carriers))))
+    return reps
+
 
 class _Workspace:
     def __init__(self, n_dom: int, n_cod: int) -> None:
@@ -191,9 +237,9 @@ class _Workspace:
         self.profs = [[[thm._profile(f, tx, ty) for f in self.maps]
                        for ty in self.tops_y]
                       for tx in self.tops_x]
-
-    def block_size(self) -> int:
-        return (len(self.sides_x[0]) * len(self.sides_y[0]) * len(self.maps))
+        self.orbits_x = _orbit_reps(self.tops_x)
+        self.orbits_y = (self.orbits_x if n_cod == n_dom
+                         else _orbit_reps(self.tops_y))
 
 
 _WORKSPACES: dict[tuple[int, int], _Workspace] = {}
@@ -211,18 +257,14 @@ def _workspace(n_dom: int, n_cod: int) -> _Workspace:
 # ---------------------------------------------------------------------------
 
 def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
-                ws: _Workspace, ix: int, iy: int,
-                carriers: Optional[tuple[int, ...]]) -> Optional[tuple]:
+                ws: _Workspace, ix: int, iy: int, mx_range: Sequence[int],
+                my_range: Sequence[int]) -> Optional[tuple]:
     """Least (m_x, m_y, f_index) violating candidate in one topology-pair
-    block, or None."""
+    block, over the given domain and codomain carriers, or None."""
     ctx = thm._Ctx(ws.sides_x[ix][0], ws.sides_y[iy][0], ws.mts[0],
                    ws.profs[ix][iy][0])
     sides_x = ws.sides_x[ix]
     sides_y = ws.sides_y[iy]
-    mx_range = (range(len(sides_x)) if carriers is None
-                else [c for c in carriers if c < len(sides_x)])
-    my_range = (range(len(sides_y)) if carriers is None
-                else [c for c in carriers if c < len(sides_y)])
     violated = (thm.conclusions_violated if mode == "verify"
                 else thm.designated_false)
     best = None
@@ -244,19 +286,52 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
     return best
 
 
+# one row of blocks: the domain topology, its carriers, and the codomain
+# topologies with theirs
+_Row = tuple[int, Sequence[int], list[tuple[int, Sequence[int]]]]
+
+
 def _run_row(args) -> list[tuple]:
-    """Worker task: scan all blocks of one domain-topology row.
+    """Worker task: scan the blocks of one domain-topology row.
 
     Returns [(iy, best_or_None), ...].  Workspaces are built lazily per
     process, so the function is safe under any multiprocessing start method.
     """
-    theorem_id, dropped, mode, n_dom, n_cod, ix, carriers = args
+    theorem_id, dropped, mode, n_dom, n_cod, (ix, mx_range, cols) = args
     spec = thm.spec_for(theorem_id)
     ws = _workspace(n_dom, n_cod)
-    out = []
-    for iy in range(len(ws.tops_y)):
-        out.append((iy, _scan_block(spec, dropped, mode, ws, ix, iy, carriers)))
-    return out
+    return [(iy, _scan_block(spec, dropped, mode, ws, ix, iy, mx_range,
+                             my_range))
+            for iy, my_range in cols]
+
+
+def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
+               n_dom: int, n_cod: int, rows: list[_Row],
+               workers: int) -> dict[tuple[int, int], tuple]:
+    """Scan the rows, in a process pool when ``workers`` > 1, and return
+    the least candidate of each block that has one, keyed by (ix, iy)."""
+    tasks = [(theorem_id, dropped, mode, n_dom, n_cod, row) for row in rows]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_row, tasks))
+    else:
+        results = [_run_row(t) for t in tasks]
+    return {(ix, iy): local
+            for (ix, _, _), row in zip(rows, results)
+            for iy, local in row if local is not None}
+
+
+def _carrier_range(count: int, carriers: Optional[tuple[int, ...]]
+                   ) -> Sequence[int]:
+    """The carriers below ``count`` that a scan walks: all, or those given."""
+    if carriers is None:
+        return range(count)
+    return [c for c in carriers if c < count]
+
+
+def _instances_in(rows: list[_Row], n_maps: int) -> int:
+    return sum(len(mx_range) * len(my_range)
+               for _, mx_range, cols in rows for _, my_range in cols) * n_maps
 
 
 def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
@@ -273,9 +348,21 @@ ProgressFn = Callable[[str, int, int], None]  # block id, instances, ces so far
 def _search(theorem_id: str, dropped: frozenset[str], mode: str,
             bounds: SearchBounds, workers: Optional[int],
             progress: Optional[ProgressFn],
-            carriers: Optional[tuple[int, ...]]) -> tuple[int, Optional[tuple], int]:
-    """Scan everything within bounds.  Returns (instances_checked, best
-    global key or None, counterexample count is folded into progress)."""
+            carriers: Optional[tuple[int, ...]]
+            ) -> tuple[int, Optional[tuple], int, dict]:
+    """Scan everything within bounds.  Returns (nominal instances checked,
+    least global key or None, number of blocks with a candidate, stats).
+
+    Without ``carriers`` each size pair is first scanned over its relabeling
+    representatives (:func:`_orbit_reps`) with every map, and rescanned label
+    by label only if that finds a candidate.  That is exact: permutations s
+    of the domain and t of the codomain carry (T, M, S, N, f) to
+    (sT, sM, tS, tN, t.f.s^-1), which every hypothesis and conclusion reads
+    alike, and some such pair carries each instance onto representative
+    topologies and carriers, so a size pair has a candidate iff its
+    representatives do.  The labeled rescan keeps the least key, the block
+    counts and the progress lines those of the full labeled scan.
+    """
     spec = thm.spec_for(theorem_id)
     unknown = dropped - set(spec.hypothesis_names)
     if unknown:
@@ -287,25 +374,32 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
     instances = 0
     best: Optional[tuple] = None
     ces_so_far = 0
+    scanned = 0
+    rescans: list[list[int]] = []
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
         ws = _workspace(n_dom, n_cod)
+        mx_range = _carrier_range(len(ws.sides_x[0]), carriers)
+        my_range = _carrier_range(len(ws.sides_y[0]), carriers)
         if carriers is None:
-            block = ws.block_size()
-        else:
-            cx = len([c for c in carriers if c < len(ws.sides_x[0])])
-            cy = len([c for c in carriers if c < len(ws.sides_y[0])])
-            block = cx * cy * len(ws.maps)
-        tasks = [(theorem_id, dropped, mode, n_dom, n_cod, ix, carriers)
-                 for ix in range(len(ws.tops_x))]
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_row, tasks))
-        else:
-            rows = [_run_row(t) for t in tasks]
-        for ix, row in enumerate(rows):
-            for iy, local in row:
+            reps = [(ix, cx, ws.orbits_y) for ix, cx in ws.orbits_x]
+            scanned += _instances_in(reps, len(ws.maps))
+            hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod, reps,
+                              workers)
+            if hits:
+                rescans.append([n_dom, n_cod])
+        if carriers is not None or hits:
+            labeled = [(ix, mx_range,
+                        [(iy, my_range) for iy in range(len(ws.tops_y))])
+                       for ix in range(len(ws.tops_x))]
+            scanned += _instances_in(labeled, len(ws.maps))
+            hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod,
+                              labeled, workers)
+        block = len(mx_range) * len(my_range) * len(ws.maps)
+        for ix in range(len(ws.tops_x)):
+            for iy in range(len(ws.tops_y)):
                 instances += block
+                local = hits.get((ix, iy))
                 if local is not None:
                     mx, my, fi = local
                     key = (size_idx, ix, mx, iy, my, fi)
@@ -315,12 +409,13 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
                 if progress is not None:
                     progress(f"n=({n_dom},{n_cod}) block=({ix},{iy})",
                              instances, ces_so_far)
-    return instances, best, ces_so_far
+    stats = {"instances_scanned": scanned, "labeled_rescans": rescans}
+    return instances, best, ces_so_far, stats
 
 
 def _finish(theorem_id: str, dropped: tuple[str, ...], bounds: SearchBounds,
             instances: int, best: Optional[tuple], elapsed: float,
-            exhaustive: bool, sampled: bool = False,
+            stats: dict, exhaustive: bool, sampled: bool = False,
             seed: Optional[int] = None,
             carriers: Optional[tuple[int, ...]] = None) -> SearchReport:
     ce = None
@@ -342,6 +437,7 @@ def _finish(theorem_id: str, dropped: tuple[str, ...], bounds: SearchBounds,
         sampled=sampled,
         seed=seed,
         ideal_carriers=carriers,
+        stats=stats,
     )
 
 
@@ -365,10 +461,10 @@ def verify_exhaustive(theorem_id: str, bounds: SearchBounds = SearchBounds(),
     in the report.
     """
     start = time.perf_counter()
-    instances, best, _ = _search(theorem_id, frozenset(), "verify", bounds,
-                                 workers, progress, carriers)
+    instances, best, _, stats = _search(theorem_id, frozenset(), "verify",
+                                        bounds, workers, progress, carriers)
     return _finish(theorem_id, (), bounds, instances, best,
-                   time.perf_counter() - start,
+                   time.perf_counter() - start, stats,
                    exhaustive=(carriers is None), carriers=carriers)
 
 
@@ -381,10 +477,11 @@ def find_counterexample(theorem_id: str, dropped_hypotheses=(),
     the theorem's designated conclusion fails."""
     dropped = tuple(dict.fromkeys(dropped_hypotheses))
     start = time.perf_counter()
-    instances, best, _ = _search(theorem_id, frozenset(dropped), "find",
-                                 bounds, workers, progress, carriers)
+    instances, best, _, stats = _search(theorem_id, frozenset(dropped),
+                                        "find", bounds, workers, progress,
+                                        carriers)
     return _finish(theorem_id, dropped, bounds, instances, best,
-                   time.perf_counter() - start,
+                   time.perf_counter() - start, stats,
                    exhaustive=(carriers is None), carriers=carriers)
 
 
@@ -440,4 +537,5 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         elapsed_seconds=time.perf_counter() - start,
         sampled=True,
         seed=seed,
+        stats={"instances_scanned": visited, "labeled_rescans": []},
     )

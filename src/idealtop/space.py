@@ -288,23 +288,23 @@ def separation_profile(top: Topology) -> SeparationProfile:
     by minimal neighborhoods agree).  ``regular`` asks for a point and a
     disjoint closed set to be separated by disjoint opens; no T-axiom is
     folded in, so indiscrete spaces are regular.
+
+    ``regular`` is evaluated as "every minimal neighborhood is closed", that
+    is ``N(z)`` misses ``N(x)`` whenever ``z`` is outside ``N(x)``.  If the
+    space is regular and ``z`` is outside ``N(x)``, then ``x`` is outside the
+    closed set ``cl{z}``, so ``N(x)`` misses the least open set around
+    ``cl{z}``, which holds ``N(z)``.  Conversely, if ``x`` is outside a
+    closed ``C``, then ``N(x)`` misses ``C``, and for ``y`` in ``C`` the
+    closed ``N(x)`` misses ``N(y)``; so ``N(x)`` and the union of those
+    ``N(y)`` separate ``x`` from ``C``.
     """
     n, mn = top.n, top.min_nbhd
     t0 = all(mn[x] != mn[y] for x in range(n) for y in range(x + 1, n))
     t1 = all(mn[x] == 1 << x for x in range(n))
     hausdorff = all(not mn[x] & mn[y]
                     for x in range(n) for y in range(x + 1, n))
-    regular = True
-    for c in top.closed_sets():
-        hull = 0
-        for y in points_of(c):
-            hull |= mn[y]
-        for x in points_of(top.full & ~c):
-            if mn[x] & hull:
-                regular = False
-                break
-        if not regular:
-            break
+    regular = all(not mn[z] & mn[x]
+                  for x in range(n) for z in range(n) if not (mn[x] >> z) & 1)
     return SeparationProfile(t0, t1, hausdorff, regular)
 
 

@@ -159,6 +159,29 @@ def transfer_conditions_by_definition(f, dom, cod) -> tuple[bool, bool, bool]:
     return pre_q, img_q, eq_q
 
 
+def regular_by_definition(top) -> bool:
+    """Whether every closed set and every point outside it have disjoint
+    neighborhoods: the union of the closed set's minimal neighborhoods must
+    miss the point's, for every closed set."""
+    mn = top.min_nbhd
+    regular = True
+    for c in top.closed_sets():
+        hull = 0
+        for y in _points(c):
+            hull |= mn[y]
+        for x in _points(top.full & ~c):
+            if mn[x] & hull:
+                regular = False
+                break
+        if not regular:
+            break
+    return regular
+
+
+def _points(mask: int):
+    return [x for x in range(mask.bit_length()) if (mask >> x) & 1]
+
+
 def is_compatible_by_definition(s) -> bool:
     """Whether locally small sets are small.
 

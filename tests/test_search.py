@@ -1,12 +1,16 @@
 """Enumeration, certification, and counterexample mining."""
 
+import dataclasses
+from itertools import permutations
+
 import pytest
 
 import oracles
 from idealtop import (CapExceeded, SearchBounds, UnknownHypothesisName,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
-from idealtop.theorems import THEOREMS
+from idealtop.search import _orbit_reps, _search
+from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355)])
@@ -135,3 +139,88 @@ def test_counterexample_is_canonically_least():
 def test_every_registered_theorem_certifies_at_two_points():
     for tid in THEOREMS:
         assert verify_exhaustive(tid, SearchBounds(2, 2)).certified, tid
+
+
+# -- certification over relabeling representatives ----------------------------
+
+@pytest.mark.parametrize("n,classes,pairs",
+                         [(1, 1, 2), (2, 3, 10), (3, 9, 54), (4, 33, 359)])
+def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
+    tops = list(enumerate_topologies(n))
+    reps = _orbit_reps(tops)
+    assert len(reps) == classes
+    assert sum(len(carriers) for _, carriers in reps) == pairs
+    # by brute force: the (index, carrier) pairs least in their orbit under
+    # the permutations of the points
+    index = {t.min_nbhd: i for i, t in enumerate(tops)}
+
+    def moved(mask, p):
+        return sum(1 << p[x] for x in range(n) if (mask >> x) & 1)
+
+    least = set()
+    for ix, t in enumerate(tops):
+        for m in range(1 << n):
+            orbit = set()
+            for p in permutations(range(n)):
+                table = [0] * n
+                for x, nb in enumerate(t.min_nbhd):
+                    table[p[x]] = moved(nb, p)
+                orbit.add((index[tuple(table)], moved(m, p)))
+            if min(orbit) == (ix, m):
+                least.add((ix, m))
+    assert {(ix, m) for ix, carriers in reps for m in carriers} == least
+
+
+ALL_CARRIERS = tuple(range(1 << 4))
+
+
+def reduced_and_labeled(tid, dropped, bounds):
+    """(reduced, labeled) results of one scan, each with its progress lines;
+    naming every carrier forces the labeled scan."""
+    out = []
+    for carriers in (None, ALL_CARRIERS):
+        lines = []
+        result = _search(tid, frozenset(dropped), "verify", bounds, 1,
+                         lambda *line: lines.append(line), carriers)
+        out.append((result, lines))
+    return out
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+def test_reduced_scan_finds_the_labeled_least_key_for_every_drop(tid):
+    for h in THEOREMS[tid].hypothesis_names:
+        (reduced, lines_r), (labeled, lines_l) = reduced_and_labeled(
+            tid, {h}, SearchBounds(2, 2))
+        assert reduced[:3] == labeled[:3], (tid, h)
+        assert lines_r == lines_l, (tid, h)
+        assert labeled[3]["labeled_rescans"] == []
+        # a size pair falls back exactly when it holds a counterexample
+        assert bool(reduced[3]["labeled_rescans"]) == (reduced[1] is not None)
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+def test_reduced_certification_matches_the_labeled_scan(tid):
+    reduced = verify_exhaustive(tid, SearchBounds(2, 3))
+    labeled = verify_exhaustive(tid, SearchBounds(2, 3), carriers=ALL_CARRIERS)
+    assert reduced.certified and reduced.counterexample is None
+    assert labeled.counterexample is None
+    assert reduced.instances_checked == labeled.instances_checked
+    assert reduced.stats["labeled_rescans"] == []
+    assert labeled.stats["instances_scanned"] == labeled.instances_checked
+
+
+def test_search_stats_count_the_instances_walked():
+    r = verify_exhaustive("JHCOMP", SearchBounds(3, 3))
+    assert r.certified and r.instances_checked == 1_519_332
+    # representative pairs per size: 2, 10, 54; maps n_cod ** n_dom
+    assert r.stats == {"instances_scanned": 88_808, "labeled_rescans": []}
+    assert r.to_json()["stats"] == r.stats
+    found = find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2))
+    rescans = found.stats["labeled_rescans"]
+    assert [1, 2] in rescans
+    # (1,1): 2*2*1, (1,2): 2*10*2, (2,1): 10*2*1, (2,2): 10*10*4, plus the
+    # labeled blocks of every size pair rescanned
+    labeled = {(1, 1): 4, (1, 2): 64, (2, 1): 32, (2, 2): 1024}
+    assert found.stats["instances_scanned"] == 464 + sum(
+        labeled[tuple(pair)] for pair in rescans)
+    assert found.same_result(dataclasses.replace(found, stats={}))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import preorders
 from idealtop import (BadMask, CapExceeded, NotATopology, Topology, closure,
                       discrete, full_mask, generate_topology, indiscrete,
                       interior, is_open, make_topology, mask_of, points_of,
@@ -138,6 +139,36 @@ def test_separation_matches_definitional_oracle(n):
         got = separation_profile(top)
         assert (got.t0, got.t1, got.hausdorff, got.regular) == (
             want["t0"], want["t1"], want["hausdorff"], want["regular"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_regular_closed_form_matches_definition(n):
+    # 1 + 4 + 29 + 355 + 6942 = 7,331 topologies
+    for top in enumerate_topologies(n):
+        assert (separation_profile(top).regular
+                == oracles.regular_by_definition(top)), top
+
+
+@settings(max_examples=200)
+@given(preorders(5, 7))
+def test_regular_closed_form_matches_definition_on_random_preorders(top):
+    assert separation_profile(top).regular == oracles.regular_by_definition(top)
+
+
+def test_separation_profile_reads_no_closed_sets(monkeypatch):
+    calls = []
+    closed_sets = Topology.closed_sets
+
+    def counted_closed_sets(self):
+        calls.append(self)
+        return closed_sets(self)
+
+    monkeypatch.setattr(Topology, "closed_sets", counted_closed_sets)
+    for top in (discrete(16), indiscrete(16), sierpinski()):
+        separation_profile.__wrapped__(top)
+    assert calls == []
+    assert not oracles.regular_by_definition(sierpinski())
+    assert calls == [sierpinski()]
 
 
 def test_topology_json_roundtrip(sierp):

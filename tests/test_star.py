@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from strategies import preorders
 from idealtop import (Ideal, IdealSpace, Topology, check_local_function_laws,
                       discrete, full_mask, indiscrete, is_compatible,
                       is_ideal_compact, local_function,
-                      local_function_by_definition, points_of, psi,
+                      local_function_by_definition, psi,
                       psi_topology, sierpinski, star_closure, star_topology)
 from idealtop.errors import DimensionMismatch
 from idealtop.search import enumerate_ideals, enumerate_topologies
@@ -168,22 +169,9 @@ def test_closed_forms_match_definitional_oracles(n):
 def preorder_spaces(draw):
     """A random preorder on 5-7 points with at most 14 nonempty opens, so the
     cover enumeration of the oracle stays bounded, and any carrier."""
-    n = draw(st.integers(5, 7))
-    table = [(1 << x) | sum(1 << y for y in draw(
-        st.sets(st.integers(0, n - 1), max_size=3))) for x in range(n)]
-    # transitive closure: a minimal neighborhood holds those of its points
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            nb = table[x]
-            for y in points_of(nb):
-                nb |= table[y]
-            changed |= nb != table[x]
-            table[x] = nb
-    top = Topology(n, tuple(table))
+    top = draw(preorders(5, 7))
     assume(len(top.opens()) - 1 <= 14)
-    return IdealSpace(top, Ideal(n, draw(st.integers(0, full_mask(n)))))
+    return IdealSpace(top, Ideal(top.n, draw(st.integers(0, full_mask(top.n)))))
 
 
 @settings(max_examples=200)
