@@ -13,10 +13,10 @@ ideal block before the carrier loops run, which is what makes the full
 hours.
 
 Every statement is invariant under relabeling the points, so an unrestricted
-scan first walks one (topology, carrier) per relabeling class on each side,
-paired with every map, and rescans a size pair label by label only when that
-reduced scan finds a hit (see :func:`_search`).  Carrier-restricted scans and
-sampling are always labeled.
+scan walks one (topology, carrier) per relabeling class on each side, paired
+with every map: the least labeled counterexample is such a representative,
+and each labeled block reads its verdict off the block of its classes (see
+:func:`_search`).  Carrier-restricted scans and sampling are labeled.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ class SearchReport:
     sampled: bool = False
     seed: Optional[int] = None
     ideal_carriers: Optional[tuple[int, ...]] = None
-    # how the result was reached: ``instances_scanned`` (instances in the
-    # blocks actually walked) and ``labeled_rescans`` (size pairs rescanned
-    # label by label after a hit among the relabeling representatives)
+    # how the result was reached: ``instances_scanned``, the instances in
+    # the blocks actually walked
     stats: dict = field(default_factory=dict, compare=False)
 
     def same_result(self, other: "SearchReport") -> bool:
@@ -187,14 +186,16 @@ class SearchReport:
 # per-size workspace, cached per process
 # ---------------------------------------------------------------------------
 
-def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
-    """Representatives of the (topology, carrier) pairs on ``n`` points up
-    to relabeling, given every topology on ``n`` points in enumeration order.
+def _orbit_reps(tops: list[Topology]
+                ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+    """The relabeling classes of the (topology, carrier) pairs on ``n``
+    points, given every topology on ``n`` points in enumeration order.
 
-    One entry per class of topologies under the permutations of the points:
-    the least index ``ix`` in the class, with the least carrier of each
-    orbit of the automorphism group of ``tops[ix]`` on carriers.  So every
-    representative pair is the least (index, carrier) of its orbit.
+    Returns ``(class_of, reps)``.  ``class_of[i]`` is the least index in the
+    class of ``tops[i]`` under the permutations of the points.  ``reps`` has
+    one entry per class: that least index ``ix``, with the least carrier of
+    each orbit of the automorphism group of ``tops[ix]`` on carriers.  So
+    every representative pair is the least (index, carrier) of its orbit.
     """
     n = tops[0].n
     index = {t.min_nbhd: i for i, t in enumerate(tops)}
@@ -202,10 +203,10 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     moved = [(p, [sum(1 << p[x] for x in range(n) if (a >> x) & 1)
                   for a in range(1 << n)])
              for p in permutations(range(n))]
-    seen: set[int] = set()
+    class_of: list[Optional[int]] = [None] * len(tops)
     reps = []
     for ix, t in enumerate(tops):
-        if ix in seen:
+        if class_of[ix] is not None:
             continue
         automorphisms = []
         for p, mv in moved:
@@ -213,12 +214,12 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
             for x, nb in enumerate(t.min_nbhd):
                 table[p[x]] = mv[nb]
             j = index[tuple(table)]
-            seen.add(j)
+            class_of[j] = ix
             if j == ix:
                 automorphisms.append(mv)
         carriers = {min(mv[c] for mv in automorphisms) for c in range(1 << n)}
         reps.append((ix, tuple(sorted(carriers))))
-    return reps
+    return class_of, reps
 
 
 class _Workspace:
@@ -237,9 +238,8 @@ class _Workspace:
         self.profs = [[[thm._profile(f, tx, ty) for f in self.maps]
                        for ty in self.tops_y]
                       for tx in self.tops_x]
-        self.orbits_x = _orbit_reps(self.tops_x)
-        self.orbits_y = (self.orbits_x if n_cod == n_dom
-                         else _orbit_reps(self.tops_y))
+        self.class_x, self.orbits_x = _orbit_reps(self.tops_x)
+        self.class_y, self.orbits_y = _orbit_reps(self.tops_y)
 
 
 _WORKSPACES: dict[tuple[int, int], _Workspace] = {}
@@ -256,6 +256,23 @@ def _workspace(n_dom: int, n_cod: int) -> _Workspace:
 # the scan
 # ---------------------------------------------------------------------------
 
+def _checked_spec(theorem_id: str, dropped) -> thm.TheoremSpec:
+    """The theorem's spec, once every dropped name is one of its hypotheses."""
+    spec = thm.spec_for(theorem_id)
+    unknown = set(dropped) - set(spec.hypothesis_names)
+    if unknown:
+        raise UnknownHypothesisName(
+            f"{sorted(unknown)} not among hypotheses of {spec.theorem_id}: "
+            f"{list(spec.hypothesis_names)}")
+    return spec
+
+
+def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
+    """Any conclusion failing when verifying, the designated one when mining."""
+    return (thm.conclusions_violated if mode == "verify"
+            else thm.designated_false)
+
+
 def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
                 ws: _Workspace, ix: int, iy: int, mx_range: Sequence[int],
                 my_range: Sequence[int]) -> Optional[tuple]:
@@ -265,8 +282,7 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
                    ws.profs[ix][iy][0])
     sides_x = ws.sides_x[ix]
     sides_y = ws.sides_y[iy]
-    violated = (thm.conclusions_violated if mode == "verify"
-                else thm.designated_false)
+    violated = _violated(mode)
     best = None
     for fi, mt in enumerate(ws.mts):
         ctx.mt = mt
@@ -329,11 +345,6 @@ def _carrier_range(count: int, carriers: Optional[tuple[int, ...]]
     return [c for c in carriers if c < count]
 
 
-def _instances_in(rows: list[_Row], n_maps: int) -> int:
-    return sum(len(mx_range) * len(my_range)
-               for _, mx_range, cols in rows for _, my_range in cols) * n_maps
-
-
 def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
                        fi: int) -> thm.Instance:
     return thm.Instance(
@@ -353,64 +364,51 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
     """Scan everything within bounds.  Returns (nominal instances checked,
     least global key or None, number of blocks with a candidate, stats).
 
-    Without ``carriers`` each size pair is first scanned over its relabeling
-    representatives (:func:`_orbit_reps`) with every map, and rescanned label
-    by label only if that finds a candidate.  That is exact: permutations s
+    Without ``carriers`` each size pair is scanned over its relabeling
+    representatives (:func:`_orbit_reps`) with every map.  Permutations s
     of the domain and t of the codomain carry (T, M, S, N, f) to
     (sT, sM, tS, tN, t.f.s^-1), which every hypothesis and conclusion reads
-    alike, and some such pair carries each instance onto representative
-    topologies and carriers, so a size pair has a candidate iff its
-    representatives do.  The labeled rescan keeps the least key, the block
-    counts and the progress lines those of the full labeled scan.
+    alike, and t is independent of s.  So in the least labeled key
+    (ix, mx, iy, my, fi) with a candidate, ``ix`` is the least index of its
+    class, ``mx`` the least carrier of its Aut(T) orbit, and ``iy``, ``my``
+    likewise: the reduced scan walks that key, and it walks only labeled
+    instances, so its least key is the labeled one.  A labeled block has a
+    candidate iff the block of its class representatives does, which gives
+    the candidate-block count and the progress lines.
     """
-    spec = thm.spec_for(theorem_id)
-    unknown = dropped - set(spec.hypothesis_names)
-    if unknown:
-        raise UnknownHypothesisName(
-            f"{sorted(unknown)} not among hypotheses of {spec.theorem_id}: "
-            f"{list(spec.hypothesis_names)}")
-    if workers is None:
-        workers = 1
+    _checked_spec(theorem_id, dropped)
     instances = 0
-    best: Optional[tuple] = None
+    keys: list[tuple] = []
     ces_so_far = 0
     scanned = 0
-    rescans: list[list[int]] = []
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
         ws = _workspace(n_dom, n_cod)
         mx_range = _carrier_range(len(ws.sides_x[0]), carriers)
         my_range = _carrier_range(len(ws.sides_y[0]), carriers)
         if carriers is None:
-            reps = [(ix, cx, ws.orbits_y) for ix, cx in ws.orbits_x]
-            scanned += _instances_in(reps, len(ws.maps))
-            hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod, reps,
-                              workers)
-            if hits:
-                rescans.append([n_dom, n_cod])
-        if carriers is not None or hits:
-            labeled = [(ix, mx_range,
-                        [(iy, my_range) for iy in range(len(ws.tops_y))])
-                       for ix in range(len(ws.tops_x))]
-            scanned += _instances_in(labeled, len(ws.maps))
-            hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod,
-                              labeled, workers)
+            rows = [(ix, xs, ws.orbits_y) for ix, xs in ws.orbits_x]
+            class_x, class_y = ws.class_x, ws.class_y
+        else:
+            class_x, class_y = range(len(ws.tops_x)), range(len(ws.tops_y))
+            rows = [(ix, mx_range, [(iy, my_range) for iy in class_y])
+                    for ix in class_x]
+        scanned += len(ws.maps) * sum(len(xs) * len(ys)
+                                      for _, xs, cols in rows for _, ys in cols)
+        hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod, rows,
+                          workers or 1)
+        keys += [(size_idx, ix, mx, iy, my, fi)
+                 for (ix, iy), (mx, my, fi) in hits.items()]
         block = len(mx_range) * len(my_range) * len(ws.maps)
-        for ix in range(len(ws.tops_x)):
-            for iy in range(len(ws.tops_y)):
+        for ix, rx in enumerate(class_x):
+            for iy, ry in enumerate(class_y):
                 instances += block
-                local = hits.get((ix, iy))
-                if local is not None:
-                    mx, my, fi = local
-                    key = (size_idx, ix, mx, iy, my, fi)
-                    ces_so_far += 1
-                    if best is None or key < best:
-                        best = key
+                ces_so_far += (rx, ry) in hits
                 if progress is not None:
                     progress(f"n=({n_dom},{n_cod}) block=({ix},{iy})",
                              instances, ces_so_far)
-    stats = {"instances_scanned": scanned, "labeled_rescans": rescans}
-    return instances, best, ces_so_far, stats
+    return (instances, min(keys, default=None), ces_so_far,
+            {"instances_scanned": scanned})
 
 
 def _finish(theorem_id: str, dropped: tuple[str, ...], bounds: SearchBounds,
@@ -493,19 +491,13 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
 
     Never certifies; the report is labeled sampled.
     """
-    spec = thm.spec_for(theorem_id)
     dropped = tuple(dict.fromkeys(dropped_hypotheses))
-    unknown = set(dropped) - set(spec.hypothesis_names)
-    if unknown:
-        raise UnknownHypothesisName(
-            f"{sorted(unknown)} not among hypotheses of {spec.theorem_id}: "
-            f"{list(spec.hypothesis_names)}")
+    spec = _checked_spec(theorem_id, dropped)
     rng = random.Random(seed)
     start = time.perf_counter()
     pairs = bounds.size_pairs()
     dropped_set = frozenset(dropped)
-    violated = (thm.conclusions_violated if mode == "verify"
-                else thm.designated_false)
+    violated = _violated(mode)
     found: Optional[thm.Instance] = None
     visited = 0
     for _ in range(sample):
@@ -537,5 +529,5 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         elapsed_seconds=time.perf_counter() - start,
         sampled=True,
         seed=seed,
-        stats={"instances_scanned": visited, "labeled_rescans": []},
+        stats={"instances_scanned": visited},
     )

@@ -517,9 +517,10 @@ _SPECS = (
          HypSpec("star_to_base_continuous", 2, _star_to_base_continuous)),
         (ConclSpec("star_homeomorphism", _star_homeo),),
         designated="star_homeomorphism"),
-    # Like its open dual below, this one needs a bijection: without
-    # surjectivity the psi of the empty set (the small-open part of the
-    # codomain) can escape the image entirely and the conclusion fails.
+    # By exhaustive search up to three points a side, dropping `injective`
+    # or `surjective` here yields a counterexample.  For the open dual HR35
+    # below, dropping either yields none, and whether HR35 needs a bijection
+    # on finite spaces is open.
     TheoremSpec(
         "HR34",
         (HypSpec("psi_codomain_continuous", 2, _h_psi_codomain_continuous),

@@ -80,6 +80,9 @@ def test_find_with_no_drops_equals_verification():
 def test_unknown_dropped_hypothesis():
     with pytest.raises(UnknownHypothesisName):
         find_counterexample("TC1", ("flux",), SearchBounds(1, 1))
+    with pytest.raises(UnknownHypothesisName):
+        sample_search("TC1", ("flux",), bounds=SearchBounds(1, 1), sample=1,
+                      seed=0)
 
 
 def test_drop_surjective_finds_witness_with_expected_pattern():
@@ -147,7 +150,7 @@ def test_every_registered_theorem_certifies_at_two_points():
                          [(1, 1, 2), (2, 3, 10), (3, 9, 54), (4, 33, 359)])
 def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
     tops = list(enumerate_topologies(n))
-    reps = _orbit_reps(tops)
+    class_of, reps = _orbit_reps(tops)
     assert len(reps) == classes
     assert sum(len(carriers) for _, carriers in reps) == pairs
     # by brute force: the (index, carrier) pairs least in their orbit under
@@ -168,34 +171,48 @@ def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
                 orbit.add((index[tuple(table)], moved(m, p)))
             if min(orbit) == (ix, m):
                 least.add((ix, m))
+            assert class_of[ix] == min(orbit)[0]
     assert {(ix, m) for ix, carriers in reps for m in carriers} == least
 
 
 ALL_CARRIERS = tuple(range(1 << 4))
 
 
-def reduced_and_labeled(tid, dropped, bounds):
+def reduced_and_labeled(tid, dropped, mode, bounds):
     """(reduced, labeled) results of one scan, each with its progress lines;
     naming every carrier forces the labeled scan."""
     out = []
     for carriers in (None, ALL_CARRIERS):
         lines = []
-        result = _search(tid, frozenset(dropped), "verify", bounds, 1,
+        result = _search(tid, frozenset(dropped), mode, bounds, 1,
                          lambda *line: lines.append(line), carriers)
-        out.append((result, lines))
+        out.append((result[:3], lines))
     return out
 
 
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
 def test_reduced_scan_finds_the_labeled_least_key_for_every_drop(tid):
     for h in THEOREMS[tid].hypothesis_names:
-        (reduced, lines_r), (labeled, lines_l) = reduced_and_labeled(
-            tid, {h}, SearchBounds(2, 2))
-        assert reduced[:3] == labeled[:3], (tid, h)
-        assert lines_r == lines_l, (tid, h)
-        assert labeled[3]["labeled_rescans"] == []
-        # a size pair falls back exactly when it holds a counterexample
-        assert bool(reduced[3]["labeled_rescans"]) == (reduced[1] is not None)
+        for mode in ("find", "verify"):
+            reduced, labeled = reduced_and_labeled(tid, {h}, mode,
+                                                   SearchBounds(2, 2))
+            assert reduced == labeled, (tid, h, mode)
+
+
+# both drops have candidate blocks in size pairs with three points on a side,
+# where one representative block stands for up to 36 labeled ones; OPENBIJ's
+# least witness is there too, at (3,2)
+@pytest.mark.parametrize("tid,dropped", [("CONTPSI", "continuous"),
+                                         ("OPENBIJ", "injective")])
+def test_reduced_scan_finds_the_labeled_least_key_at_three_points(tid,
+                                                                  dropped):
+    reduced, labeled = reduced_and_labeled(tid, {dropped}, "find",
+                                           SearchBounds(3, 3))
+    _, lines = reduced
+    ces = [0] + [line[2] for line in lines]
+    assert sum(ces[i + 1] - ces[i] for i, (block, _, _) in enumerate(lines)
+               if "3" in block.split()[0]) > 0
+    assert reduced == labeled
 
 
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
@@ -205,7 +222,6 @@ def test_reduced_certification_matches_the_labeled_scan(tid):
     assert reduced.certified and reduced.counterexample is None
     assert labeled.counterexample is None
     assert reduced.instances_checked == labeled.instances_checked
-    assert reduced.stats["labeled_rescans"] == []
     assert labeled.stats["instances_scanned"] == labeled.instances_checked
 
 
@@ -213,14 +229,31 @@ def test_search_stats_count_the_instances_walked():
     r = verify_exhaustive("JHCOMP", SearchBounds(3, 3))
     assert r.certified and r.instances_checked == 1_519_332
     # representative pairs per size: 2, 10, 54; maps n_cod ** n_dom
-    assert r.stats == {"instances_scanned": 88_808, "labeled_rescans": []}
+    assert r.stats == {"instances_scanned": 88_808}
     assert r.to_json()["stats"] == r.stats
     found = find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2))
-    rescans = found.stats["labeled_rescans"]
-    assert [1, 2] in rescans
-    # (1,1): 2*2*1, (1,2): 2*10*2, (2,1): 10*2*1, (2,2): 10*10*4, plus the
-    # labeled blocks of every size pair rescanned
-    labeled = {(1, 1): 4, (1, 2): 64, (2, 1): 32, (2, 2): 1024}
-    assert found.stats["instances_scanned"] == 464 + sum(
-        labeled[tuple(pair)] for pair in rescans)
+    assert found.counterexample is not None
+    # (1,1): 2*2*1, (1,2): 2*10*2, (2,1): 10*2*1, (2,2): 10*10*4, and no
+    # labeled block walked on top
+    assert found.stats == {"instances_scanned": 464}
     assert found.same_result(dataclasses.replace(found, stats={}))
+
+
+# Single drops at (3,3) that find no counterexample, and HR34's two bijection
+# drops, which do; each walks only the 88,808 representative instances.
+@pytest.mark.parametrize("tid,dropped,found", [
+    ("HR34", "codomain_compatible", False),
+    ("HR35", "domain_compatible", False),
+    ("HR35", "injective", False),
+    ("HR35", "surjective", False),
+    ("JHCOMP", "ideal_compact", False),
+    ("JHCOMP", "image_ideal_equal", False),
+    ("CLOSEDSUR", "injective", False),
+    ("HR34", "injective", True),
+    ("HR34", "surjective", True),
+])
+def test_single_drops_at_three_points(tid, dropped, found):
+    r = find_counterexample(tid, (dropped,), SearchBounds(3, 3))
+    assert (r.counterexample is not None) == found
+    assert r.certified == (not found)
+    assert r.stats == {"instances_scanned": 88_808}
