@@ -324,10 +324,12 @@ def _run_row(args) -> list[tuple]:
 def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
                n_dom: int, n_cod: int, rows: list[_Row],
                workers: int) -> dict[tuple[int, int], tuple]:
-    """Scan the rows, in a process pool when ``workers`` > 1, and return
-    the least candidate of each block that has one, keyed by (ix, iy)."""
+    """Scan the rows, in a process pool when more than one worker is asked
+    for, and return the least candidate of each block that has one, keyed
+    by (ix, iy).  The pool has at most one process per row and per CPU."""
     tasks = [(theorem_id, dropped, mode, n_dom, n_cod, row) for row in rows]
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_row, tasks))
     else:

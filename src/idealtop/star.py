@@ -15,11 +15,11 @@ definitional quantifier over all open neighborhoods is kept as
 :func:`local_function_by_definition` so tests can pin the shortcut to it.
 
 Each (topology, carrier) pair has one set of tables (:class:`_Side`, built
-once and cached by :func:`_side_tables`): the local function and psi of
-every subset, the star and psi topologies, and the constant predicates.
-The operators below read those tables, and so do the theorem checkers and
-the search, so every operator has exactly one implementation.  The star
-topology is built in closed form from its minimal neighborhoods
+once and cached by :func:`_side_tables`): the local function, star closure
+and psi of every subset, the star and psi topologies, and the constant
+predicates.  The operators below read those tables, and so do the theorem
+checkers and the search, so every operator has exactly one implementation.
+The star topology is built in closed form from its minimal neighborhoods
 ``(N(x) - M) | {x}`` (see :class:`_Side`).  Compatibility and
 smallness-compactness are constantly true on such spaces and are evaluated
 in that closed form, with the proof in each docstring; their definitional
@@ -96,10 +96,10 @@ class _TopT:
 
 
 class _Side:
-    """Per-(topology, carrier) tables: local function and psi of every
-    subset, the star and psi topologies with their opens, compatibility,
-    smallness-compactness, and the flag for the whole space being its own
-    local function.
+    """Per-(topology, carrier) tables: local function, star closure and psi
+    of every subset, the star and psi topologies with their opens,
+    compatibility, smallness-compactness, and the flag for the whole space
+    being its own local function.
 
     The star topology is built in closed form.  ``U`` is star-open iff its
     complement ``C`` holds its own local function ``closure(C - M)``, that
@@ -111,7 +111,7 @@ class _Side:
     hence ``N(y) - M <= N(x) - M``.
     """
 
-    __slots__ = ("tt", "n", "full", "carrier", "star", "psi",
+    __slots__ = ("tt", "n", "full", "carrier", "star", "cl_star", "psi",
                  "star_top", "star_opens", "star_opens_bm",
                  "psi_top", "psi_opens", "psi_opens_bm",
                  "compatible", "star_full", "ideal_compact")
@@ -124,6 +124,7 @@ class _Side:
         cl = tt.cl
         not_m = full & ~carrier
         self.star = star = tuple(cl[a & not_m] for a in range(full + 1))
+        self.cl_star = tuple(a | star[a] for a in range(full + 1))
         self.psi = tuple(full ^ star[full ^ a] for a in range(full + 1))
         self.star_top = Topology(n, tuple((nb & not_m) | 1 << x
                                           for x, nb in enumerate(tt.min_nbhd)))
@@ -182,7 +183,7 @@ def local_function_by_definition(s: IdealSpace, a: int) -> int:
 def star_closure(s: IdealSpace, a: int) -> int:
     """``a`` together with its local function; a Kuratowski closure."""
     check_mask(a, s.n)
-    return a | _side_of(s).star[a]
+    return _side_of(s).cl_star[a]
 
 
 def psi(s: IdealSpace, a: int) -> int:

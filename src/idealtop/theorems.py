@@ -35,6 +35,18 @@ psi its open dual, star the induced finer topology):
              small preimages                   => psi(f[A]) <= f[psi(A)]
   HR35       open from psi-topology, bijective, compatible domain,
              small images                      => f[psi(A)] <= psi(f[A])
+
+Fourteen of the quantified conclusions are declared as data, one
+:class:`Transport` ``(op, side, rel)`` each, read by a single evaluator.
+``op`` is a per-subset table of the side: ``star``, ``cl_star`` (the star
+closure ``A | A*``) or ``psi``.  On the ``domain`` side it compares
+``f[op_X(A)]`` with ``op_Y(f[A])`` for every ``A``; on the ``codomain``
+side, ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every ``B``.  ``rel`` is
+``<=``, ``>=`` or ``==``.  TC1 (a) is ``(star, domain, <=)``, CONTPSI (b) is
+``(psi, codomain, >=)``, and the HOMEO exchanges are the ``==``
+declarations.  Star continuity, star openness, the star homeomorphism and
+SAMUELS walk open sets instead; an equivalence is true when its members
+all hold or all fail.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import (BadPoint, CapExceeded, DimensionMismatch, UnknownTheorem)
 from .ideal import Ideal
@@ -243,110 +255,85 @@ def _h_codomain_compatible(ctx): return ctx.sy.compatible
 def _h_ideal_compact(ctx): return ctx.sx.ideal_compact
 
 
+def _unpulled(opens, bm: int, table) -> Optional[int]:
+    """The first of ``opens`` whose entry in ``table`` (a map's preimage or
+    image table) is not in the membership bitmap ``bm``, or None."""
+    for o in opens:
+        if not (bm >> table[o]) & 1:
+            return o
+    return None
+
+
 def _star_to_base_continuous(ctx):
     # opens of the codomain base topology pull back into the domain star topology
-    bm = ctx.sx.star_opens_bm
-    pre = ctx.mt.pre
-    return all((bm >> pre[o]) & 1 for o in ctx.sy.tt.opens)
+    return _unpulled(ctx.sy.tt.opens, ctx.sx.star_opens_bm, ctx.mt.pre) is None
 
 
 def _h_psi_codomain_continuous(ctx):
     # continuity into the topology generated by codomain psi-images of opens
-    bm = ctx.sx.tt.opens_bm
-    pre = ctx.mt.pre
-    return all((bm >> pre[o]) & 1 for o in ctx.sy.psi_opens)
+    return _unpulled(ctx.sy.psi_opens, ctx.sx.tt.opens_bm, ctx.mt.pre) is None
 
 
 def _h_psi_domain_open(ctx):
     # openness out of the topology generated by domain psi-images of opens
-    bm = ctx.sy.tt.opens_bm
-    img = ctx.mt.img
-    return all((bm >> img[u]) & 1 for u in ctx.sx.psi_opens)
+    return _unpulled(ctx.sx.psi_opens, ctx.sy.tt.opens_bm, ctx.mt.img) is None
 
 
 # ---------------------------------------------------------------------------
 # conclusion predicates: each returns the least offending subset, or None
 # ---------------------------------------------------------------------------
 
-def _forall_domain(pred):
-    def fail(ctx):
-        for a in range(ctx.sx.full + 1):
-            if not pred(ctx, a):
-                return Witness("", "domain", "subset", mask=a)
+@dataclass(frozen=True)
+class Transport:
+    """A quantified conclusion: the operator ``op`` carried along the map.
+
+    ``op`` names one of the per-subset tables of :class:`_Side`: "star"
+    (the local function), "cl_star" (the star closure) or "psi".  With
+    ``side`` "domain" it compares ``f[op_X(A)]`` with ``op_Y(f[A])`` for
+    every subset ``A`` of the domain; with "codomain" it compares
+    ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every subset ``B`` of the
+    codomain.  ``rel`` ("<=", ">=" or "==") is the required relation of the
+    left set to the right one.  Called on a context, it returns the least
+    subset where the relation fails, or None.
+    """
+
+    op: str
+    side: str
+    rel: str
+
+    def __call__(self, ctx: _Ctx) -> Optional[Witness]:
+        domain = self.side == "domain"
+        src, dst = (ctx.sx, ctx.sy) if domain else (ctx.sy, ctx.sx)
+        f = ctx.mt.img if domain else ctx.mt.pre
+        op_src, op_dst = getattr(src, self.op), getattr(dst, self.op)
+        exact = self.rel == "=="
+        # carried = f[op(S)] is the left set on the domain side and the
+        # right set on the codomain side, so it must lie inside
+        # applied = op(f[S]) for "<=" on the domain and ">=" on the codomain
+        carried_inside = (self.rel == "<=") == domain
+        for s in range(src.full + 1):
+            carried, applied = f[op_src[s]], op_dst[f[s]]
+            if carried != applied and (
+                    exact or (carried & ~applied if carried_inside
+                              else applied & ~carried)):
+                return Witness("", self.side, "subset", mask=s)
         return None
-    return fail
 
 
-def _forall_codomain(pred):
-    def fail(ctx):
-        for b in range(ctx.sy.full + 1):
-            if not pred(ctx, b):
-                return Witness("", "codomain", "subset", mask=b)
-        return None
-    return fail
-
-
-# local-function transport
-_tc1_a = _forall_domain(
-    lambda c, a: not c.mt.img[c.sx.star[a]] & ~c.sy.star[c.mt.img[a]])
-_tc1_b = _forall_codomain(
-    lambda c, b: not c.sx.star[c.mt.pre[b]] & ~c.mt.pre[c.sy.star[b]])
-
-# star-closure transport
-_tc2_a = _forall_domain(
-    lambda c, a: not c.mt.img[a | c.sx.star[a]]
-    & ~(c.mt.img[a] | c.sy.star[c.mt.img[a]]))
-_tc2_b = _forall_codomain(
-    lambda c, b: not (c.mt.pre[b] | c.sx.star[c.mt.pre[b]])
-    & ~c.mt.pre[b | c.sy.star[b]])
+def _subset_witness(side: str, mask: Optional[int]) -> Optional[Witness]:
+    return None if mask is None else Witness("", side, "subset", mask=mask)
 
 
 def _tc2_c(ctx):
     # star-to-star continuity; witness is the least unpulled star-open set
-    bm = ctx.sx.star_opens_bm
-    pre = ctx.mt.pre
-    for o in ctx.sy.star_opens:
-        if not (bm >> pre[o]) & 1:
-            return Witness("", "codomain", "subset", mask=o)
-    return None
-
-
-# psi transport
-_contpsi_a = _forall_domain(
-    lambda c, a: not c.sy.psi[c.mt.img[a]] & ~c.mt.img[c.sx.psi[a]])
-_contpsi_b = _forall_codomain(
-    lambda c, b: not c.mt.pre[c.sy.psi[b]] & ~c.sx.psi[c.mt.pre[b]])
-_to1_a = _forall_domain(
-    lambda c, a: not c.mt.img[c.sx.psi[a]] & ~c.sy.psi[c.mt.img[a]])
-_to1_b = _forall_codomain(
-    lambda c, b: not c.sx.psi[c.mt.pre[b]] & ~c.mt.pre[c.sy.psi[b]])
+    return _subset_witness("codomain", _unpulled(
+        ctx.sy.star_opens, ctx.sx.star_opens_bm, ctx.mt.pre))
 
 
 def _open_star(ctx):
     # star-to-star openness; witness is the least unpushed star-open set
-    bm = ctx.sy.star_opens_bm
-    img = ctx.mt.img
-    for u in ctx.sx.star_opens:
-        if not (bm >> img[u]) & 1:
-            return Witness("", "domain", "subset", mask=u)
-    return None
-
-
-# reverse local-function transport
-_openbij_a = _forall_domain(
-    lambda c, a: not c.sy.star[c.mt.img[a]] & ~c.mt.img[c.sx.star[a]])
-_openbij_b = _forall_codomain(
-    lambda c, b: not c.mt.pre[c.sy.star[b]] & ~c.sx.star[c.mt.pre[b]])
-
-# exact exchanges
-_exact_star_img = _forall_domain(
-    lambda c, a: c.mt.img[c.sx.star[a]] == c.sy.star[c.mt.img[a]])
-_exact_star_pre = _forall_codomain(
-    lambda c, b: c.mt.pre[c.sy.star[b]] == c.sx.star[c.mt.pre[b]])
-_exact_psi_img = _forall_domain(
-    lambda c, a: c.sy.psi[c.mt.img[a]] == c.mt.img[c.sx.psi[a]])
-_exact_psi_pre = _forall_codomain(
-    lambda c, b: c.mt.pre[c.sy.psi[b]] == c.sx.psi[c.mt.pre[b]])
+    return _subset_witness("domain", _unpulled(
+        ctx.sx.star_opens, ctx.sy.star_opens_bm, ctx.mt.img))
 
 
 def _star_homeo(ctx):
@@ -357,29 +344,18 @@ def _star_homeo(ctx):
         for y in range(ctx.sy.n):
             if ctx.mt.pre[1 << y].bit_count() != 1:
                 return Witness("", "codomain", "point", point=y)
-    pre_bm = ctx.sx.star_opens_bm
-    for o in ctx.sy.star_opens:
-        if not (pre_bm >> ctx.mt.pre[o]) & 1:
-            return Witness("", "codomain", "subset", mask=o)
-    img_bm = ctx.sy.star_opens_bm
-    for u in ctx.sx.star_opens:
-        if not (img_bm >> ctx.mt.img[u]) & 1:
-            return Witness("", "domain", "subset", mask=u)
-    return None
+    return _tc2_c(ctx) or _open_star(ctx)
 
 
 def _samuels_iff(ctx):
     """Base continuity iff star-to-base continuity; the witness is the least
     codomain open set whose preimage misses the failing side."""
     base = ctx.prof.continuous
-    star = _star_to_base_continuous(ctx)
-    if base == star:
+    if base == _star_to_base_continuous(ctx):
         return None
     bad_bm = ctx.sx.tt.opens_bm if not base else ctx.sx.star_opens_bm
-    for o in ctx.sy.tt.opens:
-        if not (bad_bm >> ctx.mt.pre[o]) & 1:
-            return Witness("", "codomain", "subset", mask=o)
-    return Witness("", "codomain", "subset", mask=0)  # unreachable
+    return _subset_witness("codomain",
+                           _unpulled(ctx.sy.tt.opens, bad_bm, ctx.mt.pre))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +383,8 @@ class TheoremSpec:
     hyps: tuple[HypSpec, ...]
     concls: tuple[ConclSpec, ...]
     designated: str  # conclusion mined by the counterexample search
+    # informational flags reported alongside (never counted as conclusions)
+    info: tuple[tuple[str, Callable[[_Ctx], bool]], ...] = ()
 
     @property
     def hypothesis_names(self) -> tuple[str, ...]:
@@ -418,16 +396,16 @@ _SPECS = (
         "TC1",
         (HypSpec("continuous", 1, _h_continuous),
          HypSpec("preimage_ok", 2, _h_preimage_ok)),
-        (ConclSpec("a", _tc1_a),
-         ConclSpec("b", _tc1_b),
+        (ConclSpec("a", Transport("star", "domain", "<=")),
+         ConclSpec("b", Transport("star", "codomain", "<=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
         "TC2",
         (HypSpec("continuous", 1, _h_continuous),
          HypSpec("preimage_ok", 2, _h_preimage_ok)),
-        (ConclSpec("a", _tc2_a),
-         ConclSpec("b", _tc2_b),
+        (ConclSpec("a", Transport("cl_star", "domain", "<=")),
+         ConclSpec("b", Transport("cl_star", "codomain", "<=")),
          ConclSpec("c", _tc2_c),
          ConclSpec("equiv_abc", members=("a", "b", "c"))),
         designated="a"),
@@ -437,16 +415,16 @@ _SPECS = (
          HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
          HypSpec("preimage_ok", 2, _h_preimage_ok)),
-        (ConclSpec("a", _contpsi_a),
-         ConclSpec("b", _contpsi_b),
+        (ConclSpec("a", Transport("psi", "domain", ">=")),
+         ConclSpec("b", Transport("psi", "codomain", ">=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
         "TO1",
         (HypSpec("open_map", 1, _h_open),
          HypSpec("image_ok", 2, _h_image_ok)),
-        (ConclSpec("a", _to1_a),
-         ConclSpec("b", _to1_b),
+        (ConclSpec("a", Transport("psi", "domain", "<=")),
+         ConclSpec("b", Transport("psi", "codomain", "<=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
@@ -461,8 +439,8 @@ _SPECS = (
          HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
          HypSpec("image_ok", 2, _h_image_ok)),
-        (ConclSpec("a", _openbij_a),
-         ConclSpec("b", _openbij_b),
+        (ConclSpec("a", Transport("star", "domain", ">=")),
+         ConclSpec("b", Transport("star", "codomain", ">=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     # For a closed injection only the forward containment is a theorem: its
@@ -475,18 +453,18 @@ _SPECS = (
         (HypSpec("closed_map", 1, _h_closed),
          HypSpec("injective", 1, _h_injective),
          HypSpec("image_ok", 2, _h_image_ok)),
-        (ConclSpec("a", _openbij_a),
-         ConclSpec("b", _openbij_b, report=False)),
+        (ConclSpec("a", Transport("star", "domain", ">=")),
+         ConclSpec("b", Transport("star", "codomain", ">="), report=False)),
         designated="a"),
     TheoremSpec(
         "HOMEO_COR",
         (HypSpec("homeomorphism", 1, _h_homeomorphism),
          HypSpec("equivalence_ok", 2, _h_equivalence_ok)),
         (ConclSpec("a", _star_homeo),
-         ConclSpec("b", _exact_star_img),
-         ConclSpec("c", _exact_star_pre),
-         ConclSpec("d", _exact_psi_img),
-         ConclSpec("e", _exact_psi_pre),
+         ConclSpec("b", Transport("star", "domain", "==")),
+         ConclSpec("c", Transport("star", "codomain", "==")),
+         ConclSpec("d", Transport("psi", "domain", "==")),
+         ConclSpec("e", Transport("psi", "codomain", "==")),
          ConclSpec("all_equiv", members=("a", "b", "c", "d", "e"))),
         designated="a"),
     TheoremSpec(
@@ -494,10 +472,11 @@ _SPECS = (
         (HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
          HypSpec("image_ideal_equal", 2, _h_image_ideal_equal)),
+        # `c` follows `a_iff_b`, so mining `a_iff_b` evaluates `a` and `b` only
         (ConclSpec("a", _star_homeo, report=False),
-         ConclSpec("b", _exact_star_img, report=False),
-         ConclSpec("c", _exact_psi_img, report=False),
+         ConclSpec("b", Transport("star", "domain", "=="), report=False),
          ConclSpec("a_iff_b", members=("a", "b")),
+         ConclSpec("c", Transport("psi", "domain", "=="), report=False),
          ConclSpec("b_iff_c", members=("b", "c")),
          ConclSpec("a_iff_c", members=("a", "c"))),
         designated="a_iff_b"),
@@ -506,7 +485,9 @@ _SPECS = (
         (HypSpec("domain_star_full", 2, _h_domain_star_full),
          HypSpec("codomain_regular", 1, _h_codomain_regular)),
         (ConclSpec("cont_iff", _samuels_iff),),
-        designated="cont_iff"),
+        designated="cont_iff",
+        info=(("continuous_base", _h_continuous),
+              ("continuous_star", _star_to_base_continuous))),
     TheoremSpec(
         "JHCOMP",
         (HypSpec("injective", 1, _h_injective),
@@ -528,7 +509,7 @@ _SPECS = (
          HypSpec("surjective", 1, _h_surjective),
          HypSpec("codomain_compatible", 2, _h_codomain_compatible),
          HypSpec("preimage_ok", 2, _h_preimage_ok)),
-        (ConclSpec("a", _contpsi_a),),
+        (ConclSpec("a", Transport("psi", "domain", ">=")),),
         designated="a"),
     TheoremSpec(
         "HR35",
@@ -537,18 +518,12 @@ _SPECS = (
          HypSpec("surjective", 1, _h_surjective),
          HypSpec("domain_compatible", 2, _h_domain_compatible),
          HypSpec("image_ok", 2, _h_image_ok)),
-        (ConclSpec("a", _to1_a),),
+        (ConclSpec("a", Transport("psi", "domain", "<=")),),
         designated="a"),
 )
 
 THEOREMS: dict[str, TheoremSpec] = {s.theorem_id: s for s in _SPECS}
 ALL_THEOREM_IDS: tuple[str, ...] = tuple(s.theorem_id for s in _SPECS)
-
-# informational flags reported alongside (never counted as conclusions)
-_INFO_FNS: dict[str, tuple[tuple[str, Callable[[_Ctx], bool]], ...]] = {
-    "SAMUELS": (("continuous_base", _h_continuous),
-                ("continuous_star", _star_to_base_continuous)),
-}
 
 
 def spec_for(theorem_id: str) -> TheoremSpec:
@@ -563,31 +538,29 @@ def spec_for(theorem_id: str) -> TheoremSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _concl_results(spec: TheoremSpec, ctx: _Ctx):
-    flags: dict[str, bool] = {}
+def _concl_results(spec: TheoremSpec, ctx: _Ctx
+                   ) -> Iterator[tuple[ConclSpec, Optional[Witness]]]:
+    """Each conclusion with its witness (None when it holds), in
+    declaration order.  An equivalence holds when its members all hold or
+    all fail, and otherwise takes the witness of its first failing member."""
     fails: dict[str, Optional[Witness]] = {}
     for c in spec.concls:
         if c.members:
-            ok = len({flags[m] for m in c.members}) == 1
-            flags[c.name] = ok
-            fails[c.name] = None if ok else next(
-                fails[m] for m in c.members if not flags[m])
+            bad = [fails[m] for m in c.members if fails[m] is not None]
+            w = bad[0] if 0 < len(bad) < len(c.members) else None
         else:
-            w = c.fail(ctx)
-            flags[c.name] = w is None
-            fails[c.name] = w
-    return flags, fails
+            w = fails[c.name] = c.fail(ctx)
+        yield c, w
 
 
-def _select_witness(spec: TheoremSpec, flags, fails) -> Optional[Witness]:
+def _select_witness(results) -> Optional[Witness]:
     """Deterministic tie-break: domain-side subsets first, then codomain
     subsets, then point witnesses; least mask/point wins, then declaration
     order."""
     candidates = []
-    for idx, c in enumerate(spec.concls):
-        if not c.report or flags[c.name]:
+    for idx, (c, w) in enumerate(results):
+        if not c.report or w is None:
             continue
-        w = fails[c.name]
         side_rank = 0 if w.side == "domain" else 1
         kind_rank = 0 if w.kind == "subset" else 1
         value = w.mask if w.kind == "subset" else w.point
@@ -607,11 +580,11 @@ def check(theorem_id: str, inst: Instance) -> Verdict:
 
 def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
     hyp_flags = tuple((h.name, h.fn(ctx)) for h in spec.hyps)
-    flags, fails = _concl_results(spec, ctx)
-    conclusions = tuple((c.name, flags[c.name]) for c in spec.concls if c.report)
-    info = tuple((c.name, flags[c.name]) for c in spec.concls if not c.report)
-    info += tuple((name, fn(ctx)) for name, fn in _INFO_FNS.get(spec.theorem_id, ()))
-    witness = _select_witness(spec, flags, fails)
+    results = list(_concl_results(spec, ctx))
+    conclusions = tuple((c.name, w is None) for c, w in results if c.report)
+    info = tuple((c.name, w is None) for c, w in results if not c.report)
+    info += tuple((name, fn(ctx)) for name, fn in spec.info)
+    witness = _select_witness(results)
     return Verdict(
         theorem_id=spec.theorem_id,
         hypotheses=hyp_flags,
@@ -631,26 +604,15 @@ def hypotheses_pass(spec: TheoremSpec, ctx: _Ctx, dropped: frozenset[str],
 
 
 def conclusions_violated(spec: TheoremSpec, ctx: _Ctx) -> bool:
-    flags: dict[str, bool] = {}
-    for c in spec.concls:
-        if c.members:
-            ok = len({flags[m] for m in c.members}) == 1
-        else:
-            ok = c.fail(ctx) is None
-        flags[c.name] = ok
-        if c.report and not ok:
+    for c, w in _concl_results(spec, ctx):
+        if c.report and w is not None:
             return True
     return False
 
 
 def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
-    target = next(c for c in spec.concls if c.name == spec.designated)
-    if not target.members:
-        return target.fail(ctx) is not None
-    # members of derived conclusions are plain quantified conclusions
-    by_name = {c.name: c for c in spec.concls}
-    values = {by_name[m].fail(ctx) is None for m in target.members}
-    return len(values) != 1
+    return next(w for c, w in _concl_results(spec, ctx)
+                if c.name == spec.designated) is not None
 
 
 # ---------------------------------------------------------------------------

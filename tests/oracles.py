@@ -2,10 +2,15 @@
 
 Nothing here reuses package logic beyond raw data (ground-set sizes, masks,
 minimal-neighborhood tables); each oracle recomputes its answer from first
-principles so that agreement with the package is meaningful.
+principles so that agreement with the package is meaningful.  The
+conclusion tables at the end are keyed by the package's declarations, but
+their predicates read only the definitions.
 """
 
 from itertools import combinations
+
+from idealtop.theorems import (Transport, _open_star, _samuels_iff,
+                               _star_homeo, _tc2_c)
 
 
 def full(n: int) -> int:
@@ -247,3 +252,74 @@ def _union(masks) -> int:
     for m in masks:
         out |= m
     return out
+
+
+# -- each conclusion at one subset or point, from the definitions -------------
+
+class Ops:
+    """A side's local function, psi and star-openness by the definitions."""
+
+    def __init__(self, s) -> None:
+        self.n, self.full, self.m = s.n, s.full, s.ideal.carrier
+        self.opens = frozenset(s.top.opens())
+
+    def star(self, a: int) -> int:
+        return local_function_definitional(self.n, self.opens, self.m, a)
+
+    def psi(self, a: int) -> int:
+        return self.full & ~self.star(self.full & ~a)
+
+    def star_open(self, u: int) -> bool:
+        c = self.full & ~u
+        return not self.star(c) & ~c
+
+
+def sub(a: int, b: int) -> bool:
+    return not a & ~b
+
+
+# holds-at predicates (X, Y, f, subset) with X, Y the sides' Ops, keyed by
+# the conclusion they mirror: a declaration or a checker
+HOLDS_ON_DOMAIN = {
+    Transport("star", "domain", "<="): lambda X, Y, f, a: sub(
+        f.image(X.star(a)), Y.star(f.image(a))),
+    Transport("cl_star", "domain", "<="): lambda X, Y, f, a: sub(
+        f.image(a | X.star(a)), f.image(a) | Y.star(f.image(a))),
+    Transport("psi", "domain", ">="): lambda X, Y, f, a: sub(
+        Y.psi(f.image(a)), f.image(X.psi(a))),
+    Transport("psi", "domain", "<="): lambda X, Y, f, a: sub(
+        f.image(X.psi(a)), Y.psi(f.image(a))),
+    Transport("star", "domain", ">="): lambda X, Y, f, a: sub(
+        Y.star(f.image(a)), f.image(X.star(a))),
+    Transport("star", "domain", "=="): lambda X, Y, f, a: (
+        f.image(X.star(a)) == Y.star(f.image(a))),
+    Transport("psi", "domain", "=="): lambda X, Y, f, a: (
+        Y.psi(f.image(a)) == f.image(X.psi(a))),
+    _open_star: lambda X, Y, f, u: (not X.star_open(u)
+                                    or Y.star_open(f.image(u))),
+    _star_homeo: lambda X, Y, f, u: (not X.star_open(u)
+                                     or Y.star_open(f.image(u))),
+}
+HOLDS_ON_CODOMAIN = {
+    Transport("star", "codomain", "<="): lambda X, Y, f, b: sub(
+        X.star(f.preimage(b)), f.preimage(Y.star(b))),
+    Transport("cl_star", "codomain", "<="): lambda X, Y, f, b: sub(
+        f.preimage(b) | X.star(f.preimage(b)), f.preimage(b | Y.star(b))),
+    Transport("psi", "codomain", ">="): lambda X, Y, f, b: sub(
+        f.preimage(Y.psi(b)), X.psi(f.preimage(b))),
+    Transport("psi", "codomain", "<="): lambda X, Y, f, b: sub(
+        X.psi(f.preimage(b)), f.preimage(Y.psi(b))),
+    Transport("star", "codomain", ">="): lambda X, Y, f, b: sub(
+        f.preimage(Y.star(b)), X.star(f.preimage(b))),
+    Transport("star", "codomain", "=="): lambda X, Y, f, b: (
+        f.preimage(Y.star(b)) == X.star(f.preimage(b))),
+    Transport("psi", "codomain", "=="): lambda X, Y, f, b: (
+        f.preimage(Y.psi(b)) == X.psi(f.preimage(b))),
+    _tc2_c: lambda X, Y, f, o: (not Y.star_open(o)
+                                or X.star_open(f.preimage(o))),
+    _star_homeo: lambda X, Y, f, o: (not Y.star_open(o)
+                                     or X.star_open(f.preimage(o))),
+    # base continuity fails at o (star-to-base continuity is implied by it)
+    _samuels_iff: lambda X, Y, f, o: (o not in Y.opens
+                                      or f.preimage(o) in X.opens),
+}

@@ -58,77 +58,6 @@ def relabeled_instances(draw):
             draw(st.permutations(range(ty.n))))
 
 
-# -- each conclusion at one subset or point, from the definitions -------------
-
-class Ops:
-    """A side's local function, psi and star-openness by the definitions."""
-
-    def __init__(self, s: IdealSpace) -> None:
-        self.n, self.full, self.m = s.n, s.full, s.ideal.carrier
-        self.opens = frozenset(s.top.opens())
-
-    def star(self, a: int) -> int:
-        return oracles.local_function_definitional(self.n, self.opens,
-                                                   self.m, a)
-
-    def psi(self, a: int) -> int:
-        return self.full & ~self.star(self.full & ~a)
-
-    def star_open(self, u: int) -> bool:
-        c = self.full & ~u
-        return not self.star(c) & ~c
-
-
-def sub(a: int, b: int) -> bool:
-    return not a & ~b
-
-
-# holds-at predicates (X, Y, f, subset), keyed by the checker they mirror
-HOLDS_ON_DOMAIN = {
-    thm._tc1_a: lambda X, Y, f, a: sub(f.image(X.star(a)),
-                                       Y.star(f.image(a))),
-    thm._tc2_a: lambda X, Y, f, a: sub(f.image(a | X.star(a)),
-                                       f.image(a) | Y.star(f.image(a))),
-    thm._contpsi_a: lambda X, Y, f, a: sub(Y.psi(f.image(a)),
-                                           f.image(X.psi(a))),
-    thm._to1_a: lambda X, Y, f, a: sub(f.image(X.psi(a)),
-                                       Y.psi(f.image(a))),
-    thm._openbij_a: lambda X, Y, f, a: sub(Y.star(f.image(a)),
-                                           f.image(X.star(a))),
-    thm._exact_star_img: lambda X, Y, f, a: (f.image(X.star(a))
-                                             == Y.star(f.image(a))),
-    thm._exact_psi_img: lambda X, Y, f, a: (Y.psi(f.image(a))
-                                            == f.image(X.psi(a))),
-    thm._open_star: lambda X, Y, f, u: (not X.star_open(u)
-                                        or Y.star_open(f.image(u))),
-    thm._star_homeo: lambda X, Y, f, u: (not X.star_open(u)
-                                         or Y.star_open(f.image(u))),
-}
-HOLDS_ON_CODOMAIN = {
-    thm._tc1_b: lambda X, Y, f, b: sub(X.star(f.preimage(b)),
-                                       f.preimage(Y.star(b))),
-    thm._tc2_b: lambda X, Y, f, b: sub(f.preimage(b) | X.star(f.preimage(b)),
-                                       f.preimage(b | Y.star(b))),
-    thm._contpsi_b: lambda X, Y, f, b: sub(f.preimage(Y.psi(b)),
-                                           X.psi(f.preimage(b))),
-    thm._to1_b: lambda X, Y, f, b: sub(X.psi(f.preimage(b)),
-                                       f.preimage(Y.psi(b))),
-    thm._openbij_b: lambda X, Y, f, b: sub(f.preimage(Y.star(b)),
-                                           X.star(f.preimage(b))),
-    thm._exact_star_pre: lambda X, Y, f, b: (f.preimage(Y.star(b))
-                                             == X.star(f.preimage(b))),
-    thm._exact_psi_pre: lambda X, Y, f, b: (f.preimage(Y.psi(b))
-                                            == X.psi(f.preimage(b))),
-    thm._tc2_c: lambda X, Y, f, o: (not Y.star_open(o)
-                                    or X.star_open(f.preimage(o))),
-    thm._star_homeo: lambda X, Y, f, o: (not Y.star_open(o)
-                                         or X.star_open(f.preimage(o))),
-    # base continuity fails at o (star-to-base continuity is implied by it)
-    thm._samuels_iff: lambda X, Y, f, o: (o not in Y.opens
-                                          or f.preimage(o) in X.opens),
-}
-
-
 def witness_breaks(tid: str, inst: Instance, w: thm.Witness) -> bool:
     """Whether the witness's subset or point breaks its conclusion, or one
     member of it when the conclusion is an equivalence."""
@@ -137,10 +66,11 @@ def witness_breaks(tid: str, inst: Instance, w: thm.Witness) -> bool:
     concl = by_name[w.conclusion]
     fails = ([concl.fail] if concl.fail is not None
              else [by_name[m].fail for m in concl.members])
-    X, Y, f = Ops(inst.X), Ops(inst.Y), inst.f
+    X, Y, f = oracles.Ops(inst.X), oracles.Ops(inst.Y), inst.f
     if w.kind == "point":  # only the star homeomorphism has point witnesses
         return f.preimage(1 << w.point).bit_count() != 1
-    holds = HOLDS_ON_DOMAIN if w.side == "domain" else HOLDS_ON_CODOMAIN
+    holds = (oracles.HOLDS_ON_DOMAIN if w.side == "domain"
+             else oracles.HOLDS_ON_CODOMAIN)
     return any(fn in holds and not holds[fn](X, Y, f, w.mask) for fn in fails)
 
 

@@ -9,6 +9,7 @@ import oracles
 from idealtop import (CapExceeded, SearchBounds, UnknownHypothesisName,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
+from idealtop import search
 from idealtop.search import _orbit_reps, _search
 from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS
 
@@ -104,6 +105,37 @@ def test_reports_identical_across_worker_counts():
     d = find_counterexample("OPENBIJ", ("surjective",), SearchBounds(2, 2),
                             workers=2)
     assert c.same_result(d)
+
+
+@pytest.mark.parametrize("cpus,expected", [(4, [3, 3, 3, 4, 4, 4]),
+                                           (64, [3, 3, 3, 9, 9, 9]),
+                                           (None, [])])
+def test_process_pool_is_bounded_by_rows_and_cpus(monkeypatch, cpus,
+                                                  expected):
+    # a stand-in pool records its size and maps in this process, so no
+    # process starts however many workers are asked for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    pooled = verify_exhaustive("TC1", SearchBounds(3, 3), workers=5000)
+    # 1, 3 and 9 rows (domain topology classes) for 1, 2 and 3 points
+    assert sizes == expected
+    assert pooled.same_result(verify_exhaustive("TC1", SearchBounds(3, 3),
+                                                workers=1))
 
 
 def test_progress_lines_cover_all_blocks():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from idealtop import (ALL_THEOREM_IDS, BadPoint, CapExceeded, FiniteMap,
                       Ideal, IdealSpace, Instance, UnknownTheorem,
                       VARIANT_CONT, VARIANT_OPEN, add_generic_point_instance,
@@ -10,8 +11,11 @@ from idealtop import (ALL_THEOREM_IDS, BadPoint, CapExceeded, FiniteMap,
                       ctor_collapse_point, discrete, identity_map, indiscrete,
                       local_function, point_space, sierpinski)
 from idealtop.cli import _closed_twin_collapse_instance
+from idealtop import theorems as thm
 from idealtop.errors import DimensionMismatch
-from idealtop.search import enumerate_ideals, enumerate_topologies
+from idealtop.search import (enumerate_ideals, enumerate_maps,
+                             enumerate_topologies)
+from idealtop.star import _side_tables
 
 
 def seeds(n):
@@ -28,6 +32,68 @@ def test_registry_contents():
     assert ALL_THEOREM_IDS == (
         "TC1", "TC2", "CONTPSI", "TO1", "OPEN_STAR", "OPENBIJ", "CLOSEDSUR",
         "HOMEO_COR", "HOMEO_HR", "SAMUELS", "JHCOMP", "HR34", "HR35")
+
+
+def test_registry_is_consistent():
+    # the members rule and designated_false read only plain conclusions
+    side = _side_tables(sierpinski(), 0b10)
+    for spec in thm.THEOREMS.values():
+        names = [c.name for c in spec.concls]
+        info = [c.name for c in spec.concls if not c.report]
+        info += [name for name, _ in spec.info]
+        assert len(set(names)) == len(names), spec.theorem_id
+        assert len(set(info)) == len(info), spec.theorem_id
+        assert len(set(spec.hypothesis_names)) == len(spec.hyps)
+        assert spec.designated in names, spec.theorem_id
+        plain = set()
+        for c in spec.concls:
+            if c.members:
+                assert c.fail is None and set(c.members) <= plain, c
+                continue
+            plain.add(c.name)
+            if isinstance(c.fail, thm.Transport):
+                assert c.fail.op in ("star", "cl_star", "psi"), c
+                assert len(getattr(side, c.fail.op)) == side.full + 1
+                assert c.fail.side in ("domain", "codomain"), c
+                assert c.fail.rel in ("<=", ">=", "=="), c
+            else:
+                assert callable(c.fail), c
+
+
+def instances_up_to(n):
+    for nx in range(1, n + 1):
+        for ny in range(1, n + 1):
+            for x in seeds(nx):
+                for y in seeds(ny):
+                    for f in enumerate_maps(nx, ny):
+                        yield Instance(x, y, f)
+
+
+def test_quantified_conclusions_match_their_definitions():
+    # each declaration, and the two star-openness checkers, holds iff its
+    # definitional predicate holds at every subset of the quantified side,
+    # and otherwise names the least subset where it fails
+    transports = {c.fail for spec in thm.THEOREMS.values()
+                  for c in spec.concls if isinstance(c.fail, thm.Transport)}
+    assert len(transports) == 14
+    sides = [(t, t.side) for t in sorted(transports, key=repr)]
+    sides += [(thm._tc2_c, "codomain"), (thm._open_star, "domain")]
+    count = 0
+    for inst in instances_up_to(2):
+        ctx = thm._ctx_for(inst)
+        X, Y, f = oracles.Ops(inst.X), oracles.Ops(inst.Y), inst.f
+        for concl, side in sides:
+            if side == "domain":
+                holds, full = oracles.HOLDS_ON_DOMAIN[concl], inst.X.full
+            else:
+                holds, full = oracles.HOLDS_ON_CODOMAIN[concl], inst.Y.full
+            failing = [s for s in range(full + 1) if not holds(X, Y, f, s)]
+            w = concl(ctx)
+            expected = (None if not failing
+                        else thm.Witness("", side, "subset", mask=failing[0]))
+            assert w == expected, (concl, inst)
+            count += 1
+    assert count == 1124 * 16
 
 
 def test_unknown_theorem():
