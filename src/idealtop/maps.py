@@ -154,7 +154,8 @@ def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     img = image_table(f)
     continuous = all(t_dom.is_open(pre[o]) for o in t_cod.opens())
     open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
-    closed_map = all(t_cod.is_closed(img[c]) for c in t_dom.closed_sets())
+    full = t_dom.full
+    closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
     return MapProfile(continuous, open_map, closed_map, f.injective, f.surjective)
 
 

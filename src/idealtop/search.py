@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, UnknownHypothesisName
 from .ideal import Ideal
-from .maps import FiniteMap
+from .maps import FiniteMap, MapProfile, image_table, preimage_table
 from .space import Topology, full_mask
 from .star import IdealSpace, _side_tables
 from . import theorems as thm
@@ -223,6 +223,11 @@ def _orbit_reps(tops: list[Topology]
 
 
 class _Workspace:
+    """The tables one size pair's scan reads: topologies, side tables,
+    maps with their image and preimage tables, relabeling classes, and the
+    classification of every map between a pair of topologies, built for
+    that pair when a scan first reads it."""
+
     def __init__(self, n_dom: int, n_cod: int) -> None:
         self.tops_x = list(enumerate_topologies(n_dom))
         self.tops_y = (self.tops_x if n_cod == n_dom
@@ -234,12 +239,21 @@ class _Workspace:
                          for m in range(full_mask(n_cod) + 1)]
                         for t in self.tops_y]
         self.maps = list(enumerate_maps(n_dom, n_cod))
-        self.mts = [thm._map_tables(f) for f in self.maps]
-        self.profs = [[[thm._profile(f, tx, ty) for f in self.maps]
-                       for ty in self.tops_y]
-                      for tx in self.tops_x]
+        self.imgs = [image_table(f) for f in self.maps]
+        self.pres = [preimage_table(f) for f in self.maps]
+        self.profs: dict[tuple[int, int], list[MapProfile]] = {}
         self.class_x, self.orbits_x = _orbit_reps(self.tops_x)
         self.class_y, self.orbits_y = _orbit_reps(self.tops_y)
+
+    def profiles(self, ix: int, iy: int) -> list[MapProfile]:
+        """Every map classified between domain topology ``ix`` and codomain
+        topology ``iy``."""
+        profs = self.profs.get((ix, iy))
+        if profs is None:
+            tx, ty = self.tops_x[ix], self.tops_y[iy]
+            profs = self.profs[ix, iy] = [thm.classify(f, tx, ty)
+                                          for f in self.maps]
+        return profs
 
 
 _WORKSPACES: dict[tuple[int, int], _Workspace] = {}
@@ -278,15 +292,14 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
                 my_range: Sequence[int]) -> Optional[tuple]:
     """Least (m_x, m_y, f_index) violating candidate in one topology-pair
     block, over the given domain and codomain carriers, or None."""
-    ctx = thm._Ctx(ws.sides_x[ix][0], ws.sides_y[iy][0], ws.mts[0],
-                   ws.profs[ix][iy][0])
     sides_x = ws.sides_x[ix]
     sides_y = ws.sides_y[iy]
+    profs = ws.profiles(ix, iy)
+    ctx = thm._Ctx(sides_x[0], sides_y[0], ws.imgs[0], ws.pres[0], profs[0])
     violated = _violated(mode)
     best = None
-    for fi, mt in enumerate(ws.mts):
-        ctx.mt = mt
-        ctx.prof = ws.profs[ix][iy][fi]
+    for fi, prof in enumerate(profs):
+        ctx.img, ctx.pre, ctx.prof = ws.imgs[fi], ws.pres[fi], prof
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
         for mx in mx_range:
@@ -413,18 +426,31 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
             {"instances_scanned": scanned})
 
 
+def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
+                bounds: SearchBounds, workers: Optional[int],
+                progress: Optional[ProgressFn],
+                carriers: Optional[tuple[int, ...]]) -> SearchReport:
+    """Run :func:`_search` and report its least instance."""
+    start = time.perf_counter()
+    instances, best, _, stats = _search(theorem_id, frozenset(dropped), mode,
+                                        bounds, workers, progress, carriers)
+    found = None
+    if best is not None:
+        size_idx, ix, mx, iy, my, fi = best
+        ws = _workspace(*bounds.size_pairs()[size_idx])
+        found = _instance_from_key(ws, ix, mx, iy, my, fi)
+    return _finish(theorem_id, dropped, bounds, instances, found,
+                   time.perf_counter() - start, stats,
+                   exhaustive=(carriers is None), carriers=carriers)
+
+
 def _finish(theorem_id: str, dropped: tuple[str, ...], bounds: SearchBounds,
-            instances: int, best: Optional[tuple], elapsed: float,
+            instances: int, found: Optional[thm.Instance], elapsed: float,
             stats: dict, exhaustive: bool, sampled: bool = False,
             seed: Optional[int] = None,
             carriers: Optional[tuple[int, ...]] = None) -> SearchReport:
-    ce = None
-    if best is not None:
-        size_idx, ix, mx, iy, my, fi = best
-        n_dom, n_cod = bounds.size_pairs()[size_idx]
-        ws = _workspace(n_dom, n_cod)
-        inst = _instance_from_key(ws, ix, mx, iy, my, fi)
-        ce = Counterexample(inst, thm.check(theorem_id, inst))
+    ce = None if found is None else Counterexample(
+        found, thm.check(theorem_id, found))
     return SearchReport(
         theorem_id=thm.spec_for(theorem_id).theorem_id,
         dropped_hypotheses=dropped,
@@ -460,12 +486,8 @@ def verify_exhaustive(theorem_id: str, bounds: SearchBounds = SearchBounds(),
     Restricting ``carriers`` makes the run non-certifying and is labeled so
     in the report.
     """
-    start = time.perf_counter()
-    instances, best, _, stats = _search(theorem_id, frozenset(), "verify",
-                                        bounds, workers, progress, carriers)
-    return _finish(theorem_id, (), bounds, instances, best,
-                   time.perf_counter() - start, stats,
-                   exhaustive=(carriers is None), carriers=carriers)
+    return _exhaustive(theorem_id, (), "verify", bounds, workers, progress,
+                       carriers)
 
 
 def find_counterexample(theorem_id: str, dropped_hypotheses=(),
@@ -475,14 +497,8 @@ def find_counterexample(theorem_id: str, dropped_hypotheses=(),
                         carriers: Optional[tuple[int, ...]] = None) -> SearchReport:
     """Search for an instance satisfying every non-dropped hypothesis while
     the theorem's designated conclusion fails."""
-    dropped = tuple(dict.fromkeys(dropped_hypotheses))
-    start = time.perf_counter()
-    instances, best, _, stats = _search(theorem_id, frozenset(dropped),
-                                        "find", bounds, workers, progress,
-                                        carriers)
-    return _finish(theorem_id, dropped, bounds, instances, best,
-                   time.perf_counter() - start, stats,
-                   exhaustive=(carriers is None), carriers=carriers)
+    return _exhaustive(theorem_id, tuple(dict.fromkeys(dropped_hypotheses)),
+                       "find", bounds, workers, progress, carriers)
 
 
 def sample_search(theorem_id: str, dropped_hypotheses=(), *,
@@ -511,25 +527,13 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         mx = rng.randrange(len(ws.sides_x[0]))
         my = rng.randrange(len(ws.sides_y[0]))
         fi = rng.randrange(len(ws.maps))
-        ctx = thm._Ctx(ws.sides_x[ix][mx], ws.sides_y[iy][my], ws.mts[fi],
-                       ws.profs[ix][iy][fi])
+        inst = _instance_from_key(ws, ix, mx, iy, my, fi)
+        ctx = thm._ctx_for(inst)
         if (thm.hypotheses_pass(spec, ctx, dropped_set, 1)
                 and thm.hypotheses_pass(spec, ctx, dropped_set, 2)
                 and violated(spec, ctx)):
-            found = _instance_from_key(ws, ix, mx, iy, my, fi)
+            found = inst
             break
-    ce = None if found is None else Counterexample(
-        found, thm.check(theorem_id, found))
-    return SearchReport(
-        theorem_id=spec.theorem_id,
-        dropped_hypotheses=dropped,
-        bounds=bounds,
-        instances_checked=visited,
-        certified=False,
-        exhaustive=False,
-        counterexample=ce,
-        elapsed_seconds=time.perf_counter() - start,
-        sampled=True,
-        seed=seed,
-        stats={"instances_scanned": visited},
-    )
+    return _finish(theorem_id, dropped, bounds, visited, found,
+                   time.perf_counter() - start, {"instances_scanned": visited},
+                   exhaustive=False, sampled=True, seed=seed)

@@ -132,7 +132,8 @@ class Topology:
         return _opens_of(self)
 
     def closed_sets(self) -> tuple[int, ...]:
-        return _closeds_of(self)
+        """All closed sets, ascending by mask value."""
+        return tuple(sorted(self.full & ~o for o in self.opens()))
 
     def closure(self, a: int) -> int:
         check_mask(a, self.n)
@@ -159,12 +160,6 @@ class Topology:
 def _opens_of(top: Topology) -> tuple[int, ...]:
     return tuple(a for a in range(1 << top.n)
                  if _is_open_unchecked(top.min_nbhd, a))
-
-
-@lru_cache(maxsize=None)
-def _closeds_of(top: Topology) -> tuple[int, ...]:
-    full = top.full
-    return tuple(sorted(full & ~o for o in _opens_of(top)))
 
 
 def _is_open_unchecked(min_nbhd: tuple[int, ...], a: int) -> bool:
@@ -279,7 +274,6 @@ class SeparationProfile:
     regular: bool
 
 
-@lru_cache(maxsize=None)
 def separation_profile(top: Topology) -> SeparationProfile:
     """Separation facts about a topology.
 

@@ -163,6 +163,24 @@ def test_sampling_is_deterministic_and_noncertifying():
     assert a.same_result(b)
 
 
+def test_sampling_at_four_points_classifies_once_per_draw(monkeypatch):
+    # each draw classifies its own map; no workspace builds a profile table,
+    # so the stub never reaches its limit
+    calls = []
+    classify = search.thm.classify
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 200:
+            raise AssertionError("more classifications than draws")
+        return classify(*args)
+
+    monkeypatch.setattr(search.thm, "classify", counted)
+    r = sample_search("TC1", bounds=SearchBounds(4, 4), sample=200, seed=7)
+    assert r.sampled and r.instances_checked == 200
+    assert 0 < len(calls) <= 200
+
+
 def test_counterexample_is_canonically_least():
     # rerunning must reproduce the identical witness instance
     r1 = find_counterexample("CONTPSI", ("injective",), SearchBounds(2, 2))

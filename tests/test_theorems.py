@@ -96,6 +96,25 @@ def test_quantified_conclusions_match_their_definitions():
     assert count == 1124 * 16
 
 
+def test_check_all_classifies_the_map_once_per_instance(monkeypatch):
+    calls = []
+    classify = thm.classify
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(thm, "classify", counted)
+    thm._ctx_for.cache_clear()
+    x = IdealSpace(sierpinski(), Ideal(2, 0b10))
+    y = IdealSpace(discrete(2), Ideal(2, 0))
+    for inst in (Instance(x, y, identity_map(2)),
+                 Instance(y, x, FiniteMap(2, 2, (1, 1)))):
+        for tid in ALL_THEOREM_IDS:
+            check(tid, inst)
+    assert len(calls) == 2
+
+
 def test_unknown_theorem():
     inst = identity_instance(IdealSpace(sierpinski(), Ideal(2, 0)))
     with pytest.raises(UnknownTheorem):

@@ -1,0 +1,39 @@
+"""The benchmark's layer tracer finds every attribute it patches, and puts
+each one back."""
+
+import importlib.util
+import pathlib
+
+from idealtop import jsonio, search, space, star, theorems
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_patches_and_uninstall_restores():
+    modules = (jsonio, search, space, star, theorems)
+    before = [dict(vars(m)) for m in modules]
+    tr = load_tracer().Tracer()
+    tr.install(scan=True)
+    try:
+        patched = {(m.__name__, name)
+                   for m, old in zip(modules, before)
+                   for name, value in vars(m).items()
+                   if old.get(name) is not value}
+    finally:
+        tr.uninstall()
+    for name in ("classify", "is_compatible", "is_ideal_compact", "check",
+                 "hypotheses_pass", "conclusions_violated"):
+        assert ("idealtop.theorems", name) in patched, name
+    assert ("idealtop.search", "_run_row") in patched
+    for m, old in zip(modules, before):
+        assert vars(m).keys() == old.keys(), m.__name__
+        restored = [name for name, value in old.items()
+                    if vars(m)[name] is not value]
+        assert restored == [], (m.__name__, restored)
