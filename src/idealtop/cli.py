@@ -136,13 +136,15 @@ def cmd_check(args) -> int:
 # search: certify or mine counterexamples
 # ---------------------------------------------------------------------------
 
-def _progress_printer(block_id: str, instances: int, ces: int) -> None:
-    print(f"block {block_id}: {instances} instances, counterexamples so far: {ces}",
-          file=sys.stderr)
+def _progress_printer(row_id: str, scanned: int, ces: int) -> None:
+    print(f"row {row_id}: {scanned} instances scanned, "
+          f"counterexamples so far: {ces}", file=sys.stderr)
 
 
 def cmd_search(args) -> int:
     bounds = search_mod.SearchBounds(args.max_n, args.max_n)
+    if args.workers < 0:
+        raise IdealTopError(f"--workers must be at least 0, got {args.workers}")
     workers = args.workers if args.workers else search_mod.default_workers()
     carriers = None
     if args.carrier:
@@ -151,9 +153,14 @@ def cmd_search(args) -> int:
     if args.sample is not None:
         if args.seed is None:
             raise IdealTopError("--sample requires an explicit --seed")
+        if args.sample < 1:
+            raise IdealTopError(f"--sample must be at least 1, got {args.sample}")
+        if carriers is not None:
+            raise IdealTopError("--carrier cannot be combined with --sample")
         report = search_mod.sample_search(
             args.theorem, args.drop, bounds=bounds,
-            sample=args.sample, seed=args.seed)
+            sample=args.sample, seed=args.seed,
+            mode="find" if args.drop else "verify")
     elif args.drop:
         report = search_mod.find_counterexample(
             args.theorem, tuple(args.drop), bounds,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import BadPoint, DimensionMismatch
 from .space import Topology, check_mask, check_point_count, full_mask
@@ -136,6 +137,12 @@ class MapProfile:
         return self.continuous and self.open_map and self.bijective
 
 
+# the 32 possible profiles, keyed by their flags in field order, so that a
+# scan holding a profile per (map, topology pair) holds 32 objects
+_PROFILES = {flags: MapProfile(*flags)
+             for flags in product((False, True), repeat=5)}
+
+
 def _check_dims(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> None:
     if f.n_dom != t_dom.n or f.n_cod != t_cod.n:
         raise DimensionMismatch(
@@ -156,7 +163,8 @@ def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
     full = t_dom.full
     closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
-    return MapProfile(continuous, open_map, closed_map, f.injective, f.surjective)
+    return _PROFILES[continuous, open_map, closed_map, f.injective,
+                     f.surjective]
 
 
 def continuity_characterizations(f: FiniteMap, t_dom: Topology,

@@ -14,9 +14,8 @@ hours.
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
-with every map: the least labeled counterexample is such a representative,
-and each labeled block reads its verdict off the block of its classes (see
-:func:`_search`).  Carrier-restricted scans and sampling are labeled.
+with every map: the least labeled counterexample is such a representative
+(see :func:`_search`).  Carrier-restricted scans and sampling are labeled.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import CapExceeded, UnknownHypothesisName
+from .errors import BadMask, CapExceeded, UnknownHypothesisName
 from .ideal import Ideal
 from .maps import FiniteMap, MapProfile, image_table, preimage_table
 from .space import Topology, full_mask
@@ -186,14 +185,12 @@ class SearchReport:
 # per-size workspace, cached per process
 # ---------------------------------------------------------------------------
 
-def _orbit_reps(tops: list[Topology]
-                ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     """The relabeling classes of the (topology, carrier) pairs on ``n``
     points, given every topology on ``n`` points in enumeration order.
 
-    Returns ``(class_of, reps)``.  ``class_of[i]`` is the least index in the
-    class of ``tops[i]`` under the permutations of the points.  ``reps`` has
-    one entry per class: that least index ``ix``, with the least carrier of
+    Returns one entry per class: the least index ``ix`` of a topology in the
+    class under the permutations of the points, with the least carrier of
     each orbit of the automorphism group of ``tops[ix]`` on carriers.  So
     every representative pair is the least (index, carrier) of its orbit.
     """
@@ -203,10 +200,10 @@ def _orbit_reps(tops: list[Topology]
     moved = [(p, [sum(1 << p[x] for x in range(n) if (a >> x) & 1)
                   for a in range(1 << n)])
              for p in permutations(range(n))]
-    class_of: list[Optional[int]] = [None] * len(tops)
+    seen: set[int] = set()
     reps = []
     for ix, t in enumerate(tops):
-        if class_of[ix] is not None:
+        if ix in seen:
             continue
         automorphisms = []
         for p, mv in moved:
@@ -214,19 +211,20 @@ def _orbit_reps(tops: list[Topology]
             for x, nb in enumerate(t.min_nbhd):
                 table[p[x]] = mv[nb]
             j = index[tuple(table)]
-            class_of[j] = ix
+            seen.add(j)
             if j == ix:
                 automorphisms.append(mv)
         carriers = {min(mv[c] for mv in automorphisms) for c in range(1 << n)}
         reps.append((ix, tuple(sorted(carriers))))
-    return class_of, reps
+    return reps
 
 
 class _Workspace:
     """The tables one size pair's scan reads: topologies, side tables,
     maps with their image and preimage tables, relabeling classes, and the
     classification of every map between a pair of topologies, built for
-    that pair when a scan first reads it."""
+    that pair when a scan first reads it and kept only for a pair of class
+    representatives, which is all an unrestricted scan reads."""
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
         self.tops_x = list(enumerate_topologies(n_dom))
@@ -242,8 +240,10 @@ class _Workspace:
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
         self.profs: dict[tuple[int, int], list[MapProfile]] = {}
-        self.class_x, self.orbits_x = _orbit_reps(self.tops_x)
-        self.class_y, self.orbits_y = _orbit_reps(self.tops_y)
+        self.orbits_x = _orbit_reps(self.tops_x)
+        self.orbits_y = _orbit_reps(self.tops_y)
+        self.kept = {(ix, iy) for ix, _ in self.orbits_x
+                     for iy, _ in self.orbits_y}
 
     def profiles(self, ix: int, iy: int) -> list[MapProfile]:
         """Every map classified between domain topology ``ix`` and codomain
@@ -251,8 +251,9 @@ class _Workspace:
         profs = self.profs.get((ix, iy))
         if profs is None:
             tx, ty = self.tops_x[ix], self.tops_y[iy]
-            profs = self.profs[ix, iy] = [thm.classify(f, tx, ty)
-                                          for f in self.maps]
+            profs = [thm.classify(f, tx, ty) for f in self.maps]
+            if (ix, iy) in self.kept:
+                self.profs[ix, iy] = profs
         return profs
 
 
@@ -323,33 +324,35 @@ _Row = tuple[int, Sequence[int], list[tuple[int, Sequence[int]]]]
 def _run_row(args) -> list[tuple]:
     """Worker task: scan the blocks of one domain-topology row.
 
-    Returns [(iy, best_or_None), ...].  Workspaces are built lazily per
-    process, so the function is safe under any multiprocessing start method.
+    Returns the least candidate of each block that has one, as
+    [(iy, mx, my, fi), ...].  Workspaces are built lazily per process, so
+    the function is safe under any multiprocessing start method.
     """
     theorem_id, dropped, mode, n_dom, n_cod, (ix, mx_range, cols) = args
     spec = thm.spec_for(theorem_id)
     ws = _workspace(n_dom, n_cod)
-    return [(iy, _scan_block(spec, dropped, mode, ws, ix, iy, mx_range,
-                             my_range))
-            for iy, my_range in cols]
+    hits = []
+    for iy, my_range in cols:
+        best = _scan_block(spec, dropped, mode, ws, ix, iy, mx_range, my_range)
+        if best is not None:
+            hits.append((iy, *best))
+    return hits
 
 
 def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
                n_dom: int, n_cod: int, rows: list[_Row],
-               workers: int) -> dict[tuple[int, int], tuple]:
+               workers: int) -> Iterator[list[tuple]]:
     """Scan the rows, in a process pool when more than one worker is asked
-    for, and return the least candidate of each block that has one, keyed
-    by (ix, iy).  The pool has at most one process per row and per CPU."""
+    for, and yield the hits of each row (see :func:`_run_row`) in row order
+    as the rows finish.  The pool has at most one process per row and per
+    CPU."""
     tasks = [(theorem_id, dropped, mode, n_dom, n_cod, row) for row in rows]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_row, tasks))
+            yield from pool.map(_run_row, tasks)
     else:
-        results = [_run_row(t) for t in tasks]
-    return {(ix, iy): local
-            for (ix, _, _), row in zip(rows, results)
-            for iy, local in row if local is not None}
+        yield from map(_run_row, tasks)
 
 
 def _carrier_range(count: int, carriers: Optional[tuple[int, ...]]
@@ -368,16 +371,18 @@ def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
         ws.maps[fi])
 
 
-ProgressFn = Callable[[str, int, int], None]  # block id, instances, ces so far
+ProgressFn = Callable[[str, int, int], None]  # row id, scanned, hit blocks
 
 
 def _search(theorem_id: str, dropped: frozenset[str], mode: str,
             bounds: SearchBounds, workers: Optional[int],
             progress: Optional[ProgressFn],
             carriers: Optional[tuple[int, ...]]
-            ) -> tuple[int, Optional[tuple], int, dict]:
+            ) -> tuple[int, Optional[tuple], dict]:
     """Scan everything within bounds.  Returns (nominal instances checked,
-    least global key or None, number of blocks with a candidate, stats).
+    least global key or None, stats), and calls ``progress`` with the
+    instances scanned and the blocks with a candidate so far as each row
+    finishes.
 
     Without ``carriers`` each size pair is scanned over its relabeling
     representatives (:func:`_orbit_reps`) with every map.  Permutations s
@@ -387,53 +392,50 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
     (ix, mx, iy, my, fi) with a candidate, ``ix`` is the least index of its
     class, ``mx`` the least carrier of its Aut(T) orbit, and ``iy``, ``my``
     likewise: the reduced scan walks that key, and it walks only labeled
-    instances, so its least key is the labeled one.  A labeled block has a
-    candidate iff the block of its class representatives does, which gives
-    the candidate-block count and the progress lines.
+    instances, so its least key is the labeled one.
     """
     _checked_spec(theorem_id, dropped)
-    instances = 0
+    instances = scanned = hit_blocks = 0
     keys: list[tuple] = []
-    ces_so_far = 0
-    scanned = 0
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
         ws = _workspace(n_dom, n_cod)
         mx_range = _carrier_range(len(ws.sides_x[0]), carriers)
         my_range = _carrier_range(len(ws.sides_y[0]), carriers)
+        instances += (len(ws.tops_x) * len(mx_range) * len(ws.tops_y)
+                      * len(my_range) * len(ws.maps))
         if carriers is None:
             rows = [(ix, xs, ws.orbits_y) for ix, xs in ws.orbits_x]
-            class_x, class_y = ws.class_x, ws.class_y
         else:
-            class_x, class_y = range(len(ws.tops_x)), range(len(ws.tops_y))
-            rows = [(ix, mx_range, [(iy, my_range) for iy in class_y])
-                    for ix in class_x]
-        scanned += len(ws.maps) * sum(len(xs) * len(ys)
-                                      for _, xs, cols in rows for _, ys in cols)
-        hits = _scan_rows(theorem_id, dropped, mode, n_dom, n_cod, rows,
-                          workers or 1)
-        keys += [(size_idx, ix, mx, iy, my, fi)
-                 for (ix, iy), (mx, my, fi) in hits.items()]
-        block = len(mx_range) * len(my_range) * len(ws.maps)
-        for ix, rx in enumerate(class_x):
-            for iy, ry in enumerate(class_y):
-                instances += block
-                ces_so_far += (rx, ry) in hits
-                if progress is not None:
-                    progress(f"n=({n_dom},{n_cod}) block=({ix},{iy})",
-                             instances, ces_so_far)
-    return (instances, min(keys, default=None), ces_so_far,
-            {"instances_scanned": scanned})
+            cols = [(iy, my_range) for iy in range(len(ws.tops_y))]
+            rows = [(ix, mx_range, cols) for ix in range(len(ws.tops_x))]
+        for (ix, xs, cols), hits in zip(rows, _scan_rows(
+                theorem_id, dropped, mode, n_dom, n_cod, rows, workers or 1)):
+            scanned += len(ws.maps) * len(xs) * sum(len(ys) for _, ys in cols)
+            hit_blocks += len(hits)
+            keys += [(size_idx, ix, mx, iy, my, fi)
+                     for iy, mx, my, fi in hits]
+            if progress is not None:
+                progress(f"n=({n_dom},{n_cod}) domain={ix}", scanned,
+                         hit_blocks)
+    return instances, min(keys, default=None), {"instances_scanned": scanned}
 
 
 def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
                 bounds: SearchBounds, workers: Optional[int],
                 progress: Optional[ProgressFn],
                 carriers: Optional[tuple[int, ...]]) -> SearchReport:
-    """Run :func:`_search` and report its least instance."""
+    """Run :func:`_search` over the sorted distinct ``carriers`` and report
+    its least instance."""
+    if carriers is not None:
+        for c in carriers:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                raise BadMask(
+                    f"carrier must be a non-negative integer mask, got {c!r}")
+        carriers = tuple(sorted(set(carriers)))
     start = time.perf_counter()
-    instances, best, _, stats = _search(theorem_id, frozenset(dropped), mode,
-                                        bounds, workers, progress, carriers)
+    instances, best, stats = _search(theorem_id, frozenset(dropped), mode,
+                                     bounds, workers, progress, carriers)
     found = None
     if best is not None:
         size_idx, ix, mx, iy, my, fi = best

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from idealtop import MAX_POINTS, cli
+from idealtop import search as search_mod
 
 
 @pytest.fixture
@@ -136,8 +137,8 @@ def test_search_counterexample_exit_1(capsys):
 def test_search_progress_lines_go_to_stderr(capsys):
     cli.main(["search", "TC1", "--max-n", "1"])
     captured = capsys.readouterr()
-    assert "block" in captured.err
-    assert "block" not in captured.out
+    assert captured.err.startswith("row ")
+    assert "row" not in captured.out
 
 
 def test_search_cap_exit_2():
@@ -151,6 +152,28 @@ def test_search_unknown_drop_exit_2():
 
 def test_search_sample_requires_seed():
     assert cli.main(["search", "TC1", "--sample", "10", "--quiet"]) == 2
+
+
+def test_search_sample_without_drop_checks_every_conclusion(monkeypatch):
+    modes = []
+    violated = search_mod._violated
+    monkeypatch.setattr(search_mod, "_violated",
+                        lambda mode: modes.append(mode) or violated(mode))
+    for drop in ([], ["--drop", "continuous"]):
+        assert cli.main(["search", "TC1", "--max-n", "2", "--sample", "10",
+                         "--seed", "1", "--quiet"] + drop) in (0, 1)
+    assert modes == ["verify", "find"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sample", "0", "--seed", "1"],
+    ["--sample", "-5", "--seed", "1"],
+    ["--workers", "-1"],
+    ["--sample", "10", "--seed", "1", "--carrier", "0"],
+])
+def test_search_refuses_bad_options(argv, capsys):
+    assert cli.main(["search", "TC1", "--max-n", "1", "--quiet"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: --")
 
 
 def test_search_json_report(tmp_path):

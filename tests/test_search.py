@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 import oracles
-from idealtop import (CapExceeded, SearchBounds, UnknownHypothesisName,
+from idealtop import (BadMask, CapExceeded, SearchBounds,
+                      UnknownHypothesisName,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
 from idealtop import search
@@ -139,12 +140,39 @@ def test_process_pool_is_bounded_by_rows_and_cpus(monkeypatch, cpus,
 
 
 def test_progress_lines_cover_all_blocks():
-    seen = []
-    verify_exhaustive("TC1", SearchBounds(2, 2),
-                      progress=lambda bid, done, ces: seen.append(bid))
-    # one line per topology pair per size pair: 1 + 1*4 + 4*1 + 4*4
-    assert len(seen) == 1 + 4 + 4 + 16
-    assert seen == sorted(seen, key=seen.index)  # stable canonical order
+    runs = []
+    for workers in (1, 2):
+        lines = []
+        r = find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2),
+                                workers=workers,
+                                progress=lambda *line: lines.append(line))
+        runs.append(lines)
+    # one line per scanned row, a domain topology class per size pair:
+    # 1 + 1 + 3 + 3, in row order, whatever the worker count
+    assert [row for row, _, _ in lines] == [
+        "n=(1,1) domain=0", "n=(1,2) domain=0", "n=(2,1) domain=0",
+        "n=(2,1) domain=1", "n=(2,1) domain=3", "n=(2,2) domain=0",
+        "n=(2,2) domain=1", "n=(2,2) domain=3"]
+    assert runs[0] == runs[1]
+    scanned = [done for _, done, _ in lines]
+    assert scanned == sorted(scanned)
+    assert scanned[-1] == r.stats["instances_scanned"]
+    assert lines[-1][2] > 0
+
+
+def test_progress_reports_each_row_before_the_next_is_scanned(monkeypatch):
+    events = []
+    run_row = search._run_row
+
+    def recorded(task):
+        events.append("scan")
+        return run_row(task)
+
+    monkeypatch.setattr(search, "_run_row", recorded)
+    verify_exhaustive("TC1", SearchBounds(3, 3), workers=1,
+                      progress=lambda *line: events.append("line"))
+    # rows per size pair: 1, 3 and 9 domain classes, three codomain sizes each
+    assert events == ["scan", "line"] * (3 * (1 + 3 + 9))
 
 
 def test_carrier_restriction_is_labeled_noncertifying():
@@ -152,6 +180,41 @@ def test_carrier_restriction_is_labeled_noncertifying():
     assert not r.exhaustive and not r.certified
     assert r.counterexample is None
     assert r.ideal_carriers == (0,)
+
+
+def test_carriers_are_sorted_distinct_masks():
+    r = verify_exhaustive("TC1", SearchBounds(2, 2), carriers=(3, 0, 0))
+    assert r.ideal_carriers == (0, 3)
+    assert r.instances_checked == verify_exhaustive(
+        "TC1", SearchBounds(2, 2), carriers=(0, 3)).instances_checked
+    one = verify_exhaustive("TC1", SearchBounds(2, 2), carriers=(0,))
+    assert one.same_result(
+        verify_exhaustive("TC1", SearchBounds(2, 2), carriers=(0, 0)))
+    assert one.instances_checked == 77
+
+
+@pytest.mark.parametrize("carrier", [-1, 1.0, True, "0"])
+def test_carriers_must_be_nonnegative_integer_masks(monkeypatch, carrier):
+    def no_scan(*args):
+        raise AssertionError("scanned before the carriers were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    with pytest.raises(BadMask):
+        verify_exhaustive("TC1", SearchBounds(2, 2), carriers=(0, carrier))
+    with pytest.raises(BadMask):
+        find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2),
+                            carriers=(carrier,))
+
+
+def test_carrier_scan_keeps_only_representative_blocks(monkeypatch):
+    monkeypatch.setattr(search, "_WORKSPACES", {})
+    verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
+    ws = search._workspace(3, 3)
+    # every one of the 29 * 29 blocks is classified, and only the 9 * 9
+    # blocks of class representatives, all an unrestricted scan reads, stay
+    assert len(ws.profs) == 81
+    assert set(ws.profs) == {(ix, iy) for ix, _ in ws.orbits_x
+                             for iy, _ in ws.orbits_y}
 
 
 def test_sampling_is_deterministic_and_noncertifying():
@@ -200,7 +263,7 @@ def test_every_registered_theorem_certifies_at_two_points():
                          [(1, 1, 2), (2, 3, 10), (3, 9, 54), (4, 33, 359)])
 def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
     tops = list(enumerate_topologies(n))
-    class_of, reps = _orbit_reps(tops)
+    reps = _orbit_reps(tops)
     assert len(reps) == classes
     assert sum(len(carriers) for _, carriers in reps) == pairs
     # by brute force: the (index, carrier) pairs least in their orbit under
@@ -221,23 +284,19 @@ def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
                 orbit.add((index[tuple(table)], moved(m, p)))
             if min(orbit) == (ix, m):
                 least.add((ix, m))
-            assert class_of[ix] == min(orbit)[0]
     assert {(ix, m) for ix, carriers in reps for m in carriers} == least
 
 
 ALL_CARRIERS = tuple(range(1 << 4))
 
 
-def reduced_and_labeled(tid, dropped, mode, bounds):
-    """(reduced, labeled) results of one scan, each with its progress lines;
-    naming every carrier forces the labeled scan."""
-    out = []
-    for carriers in (None, ALL_CARRIERS):
-        lines = []
-        result = _search(tid, frozenset(dropped), mode, bounds, 1,
-                         lambda *line: lines.append(line), carriers)
-        out.append((result[:3], lines))
-    return out
+def reduced_and_labeled(tid, dropped, mode, bounds, progress=None):
+    """(nominal instances, least key) of the reduced and of the labeled scan,
+    with the reduced scan's progress; naming every carrier forces the
+    labeled scan."""
+    return [_search(tid, frozenset(dropped), mode, bounds, 1,
+                    progress if carriers is None else None, carriers)[:2]
+            for carriers in (None, ALL_CARRIERS)]
 
 
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
@@ -256,12 +315,13 @@ def test_reduced_scan_finds_the_labeled_least_key_for_every_drop(tid):
                                          ("OPENBIJ", "injective")])
 def test_reduced_scan_finds_the_labeled_least_key_at_three_points(tid,
                                                                   dropped):
+    lines = []
     reduced, labeled = reduced_and_labeled(tid, {dropped}, "find",
-                                           SearchBounds(3, 3))
-    _, lines = reduced
+                                           SearchBounds(3, 3),
+                                           lambda *line: lines.append(line))
     ces = [0] + [line[2] for line in lines]
-    assert sum(ces[i + 1] - ces[i] for i, (block, _, _) in enumerate(lines)
-               if "3" in block.split()[0]) > 0
+    assert sum(ces[i + 1] - ces[i] for i, (row, _, _) in enumerate(lines)
+               if "3" in row.split()[0]) > 0
     assert reduced == labeled
 
 

@@ -1,12 +1,15 @@
 """The benchmark's layer tracer finds every attribute it patches, and puts
-each one back."""
+each one back; the benchmark's correctness gate passes."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 from idealtop import jsonio, search, space, star, theorems
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -37,3 +40,11 @@ def test_tracer_install_patches_and_uninstall_restores():
         restored = [name for name, value in old.items()
                     if vars(m)[name] is not value]
         assert restored == [], (m.__name__, restored)
+
+
+def test_benchmark_selftest_passes():
+    # a slice of each workload against its recorded expectations: the
+    # nominal scan count, the carrier-restricted warm-up and the tracer names
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
