@@ -8,6 +8,7 @@ from itertools import product
 
 from .errors import BadPoint, DimensionMismatch
 from .space import Topology, check_mask, check_point_count, full_mask
+from .star import _top_tables
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,18 @@ def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """Classify ``f`` between two topologies.
 
     Continuity is decided by open preimages; the other four textbook
-    characterizations are in :func:`continuity_characterizations`.
+    characterizations are in :func:`continuity_characterizations`.  Each
+    set is looked up in the open-set bitmap of its side: a closed image
+    is one whose complement is open.
     """
     _check_dims(f, t_dom, t_cod)
     pre = preimage_table(f)
     img = image_table(f)
-    continuous = all(t_dom.is_open(pre[o]) for o in t_cod.opens())
-    open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
-    full = t_dom.full
-    closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
+    tx, ty = _top_tables(t_dom), _top_tables(t_cod)
+    bx, by, full_x, full_y = tx.opens_bm, ty.opens_bm, tx.full, ty.full
+    continuous = all(bx >> pre[o] & 1 for o in ty.opens)
+    open_map = all(by >> img[u] & 1 for u in tx.opens)
+    closed_map = all(by >> (full_y ^ img[full_x ^ u]) & 1 for u in tx.opens)
     return _PROFILES[continuous, open_map, closed_map, f.injective,
                      f.surjective]
 

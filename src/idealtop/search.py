@@ -10,7 +10,8 @@ the overall minimum, so the result is identical for any worker count.
 Hypothesis evaluation is staged: map/topology-level hypotheses gate a whole
 ideal block before the carrier loops run, which is what makes the full
 13-theorem certification at three points a matter of seconds rather than
-hours.
+hours.  Within a block, each (map, domain carrier) decides every codomain
+carrier at once, as a bitmask over them (see :func:`_scan_block`).
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
@@ -149,7 +150,9 @@ class SearchReport:
     seed: Optional[int] = None
     ideal_carriers: Optional[tuple[int, ...]] = None
     # how the result was reached: ``instances_scanned``, the instances in
-    # the blocks actually walked
+    # the blocks actually walked (or drawn), and of these
+    # ``level1_passed`` and ``level2_passed``, those that pass the level-1
+    # gate and both gates
     stats: dict = field(default_factory=dict, compare=False)
 
     def same_result(self, other: "SearchReport") -> bool:
@@ -219,29 +222,59 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     return reps
 
 
+class _Points:
+    """The tables of one side size ``n``, shared by every workspace with a
+    side of that size: the topologies on ``n`` points, the side tables of
+    each with each carrier, the relabeling classes, and the carrier tables
+    of a codomain topology (:class:`theorems._Carriers`), built when a scan
+    first reads them and kept only for class representatives with their
+    carriers, which is all an unrestricted scan reads."""
+
+    def __init__(self, n: int) -> None:
+        self.tops = list(enumerate_topologies(n))
+        self.sides = [[_side_tables(t, m) for m in range(full_mask(n) + 1)]
+                      for t in self.tops]
+        self.orbits = _orbit_reps(self.tops)
+        self.kept_carriers = dict(self.orbits)
+        self.cvs: dict[int, thm._Carriers] = {}
+
+    def carriers(self, iy: int, my_range: Sequence[int]) -> thm._Carriers:
+        """The sides of topology ``iy`` with the carriers ``my_range``, one
+        bit position each, with their tables."""
+        keep = self.kept_carriers.get(iy) == tuple(my_range)
+        cv = self.cvs.get(iy) if keep else None
+        if cv is None:
+            cv = thm._Carriers([self.sides[iy][my] for my in my_range])
+            if keep:
+                self.cvs[iy] = cv
+        return cv
+
+
+_POINTS: dict[int, _Points] = {}
+
+
+def _points(n: int) -> _Points:
+    if n not in _POINTS:
+        _POINTS[n] = _Points(n)
+    return _POINTS[n]
+
+
 class _Workspace:
-    """The tables one size pair's scan reads: topologies, side tables,
-    maps with their image and preimage tables, relabeling classes, and the
-    classification of every map between a pair of topologies, built for
-    that pair when a scan first reads it and kept only for a pair of class
-    representatives, which is all an unrestricted scan reads."""
+    """The tables one size pair's scan reads: those of each side size
+    (:class:`_Points`), the maps with their image and preimage tables, and
+    the classification of every map between a pair of topologies, built
+    for that pair when a scan first reads it and kept only for a pair of
+    class representatives."""
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
-        self.tops_x = list(enumerate_topologies(n_dom))
-        self.tops_y = (self.tops_x if n_cod == n_dom
-                       else list(enumerate_topologies(n_cod)))
-        self.sides_x = [[_side_tables(t, m)
-                         for m in range(full_mask(n_dom) + 1)]
-                        for t in self.tops_x]
-        self.sides_y = [[_side_tables(t, m)
-                         for m in range(full_mask(n_cod) + 1)]
-                        for t in self.tops_y]
+        x, y = _points(n_dom), _points(n_cod)
+        self.tops_x, self.sides_x, self.orbits_x = x.tops, x.sides, x.orbits
+        self.tops_y, self.sides_y, self.orbits_y = y.tops, y.sides, y.orbits
+        self.carriers = y.carriers
         self.maps = list(enumerate_maps(n_dom, n_cod))
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
         self.profs: dict[tuple[int, int], list[MapProfile]] = {}
-        self.orbits_x = _orbit_reps(self.tops_x)
-        self.orbits_y = _orbit_reps(self.tops_y)
         self.kept = {(ix, iy) for ix, _ in self.orbits_x
                      for iy, _ in self.orbits_y}
 
@@ -288,32 +321,48 @@ def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
             else thm.designated_false)
 
 
-def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
-                ws: _Workspace, ix: int, iy: int, mx_range: Sequence[int],
-                my_range: Sequence[int]) -> Optional[tuple]:
+def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
+                gates: tuple, mode: str, ws: _Workspace, ix: int, iy: int,
+                mx_range: Sequence[int], my_range: Sequence[int]
+                ) -> tuple[Optional[tuple], int, int]:
     """Least (m_x, m_y, f_index) violating candidate in one topology-pair
-    block, over the given domain and codomain carriers, or None."""
+    block, over the given domain and codomain carriers, or None; with the
+    instances that pass the level-1 gate and both gates.
+
+    Each map passes the level-1 gate or not as a whole.  Each (map, m_x)
+    then decides every codomain carrier at once: the level-2 ``gates``
+    (:func:`theorems.level2_gates`) and the violations are masks over the
+    positions of ``my_range``, whose lowest set bit is the least m_y.
+    """
+    if not mx_range or not my_range:
+        return None, 0, 0
     sides_x = ws.sides_x[ix]
-    sides_y = ws.sides_y[iy]
+    cv = ws.carriers(iy, my_range)
     profs = ws.profiles(ix, iy)
-    ctx = thm._Ctx(sides_x[0], sides_y[0], ws.imgs[0], ws.pres[0], profs[0])
-    violated = _violated(mode)
+    ctx = thm._Ctx(sides_x[0], cv.sides[0], ws.imgs[0], ws.pres[0], profs[0])
+    per_map = len(mx_range) * len(my_range)
     best = None
+    level1 = level2 = 0
     for fi, prof in enumerate(profs):
         ctx.img, ctx.pre, ctx.prof = ws.imgs[fi], ws.pres[fi], prof
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
+        level1 += per_map
         for mx in mx_range:
             ctx.sx = sides_x[mx]
-            for my in my_range:
-                ctx.sy = sides_y[my]
-                if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
-                    continue
-                if violated(spec, ctx):
-                    key = (mx, my, fi)
-                    if best is None or key < best:
-                        best = key
-    return best
+            live = thm.gate_mask(gates, ctx, cv)
+            if not live:
+                continue
+            level2 += live.bit_count()
+            # a later map beats the best only with a smaller (m_x, m_y)
+            if best is not None and mx > best[0]:
+                continue
+            bad = thm.violations_mask(spec, mode, ctx, cv, live)
+            if bad:
+                my = my_range[(bad & -bad).bit_length() - 1]
+                if best is None or (mx, my) < best[:2]:
+                    best = (mx, my, fi)
+    return best, level1, level2
 
 
 # one row of blocks: the domain topology, its carriers, and the codomain
@@ -321,31 +370,37 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str], mode: str,
 _Row = tuple[int, Sequence[int], list[tuple[int, Sequence[int]]]]
 
 
-def _run_row(args) -> list[tuple]:
+def _run_row(args) -> tuple[list[tuple], int, int]:
     """Worker task: scan the blocks of one domain-topology row.
 
     Returns the least candidate of each block that has one, as
-    [(iy, mx, my, fi), ...].  Workspaces are built lazily per process, so
-    the function is safe under any multiprocessing start method.
+    [(iy, mx, my, fi), ...], with the row's instances that pass the
+    level-1 gate and both gates.  Workspaces are built lazily per process,
+    so the function is safe under any multiprocessing start method.
     """
     theorem_id, dropped, mode, n_dom, n_cod, (ix, mx_range, cols) = args
     spec = thm.spec_for(theorem_id)
+    gates = thm.level2_gates(spec, dropped)
     ws = _workspace(n_dom, n_cod)
     hits = []
+    level1 = level2 = 0
     for iy, my_range in cols:
-        best = _scan_block(spec, dropped, mode, ws, ix, iy, mx_range, my_range)
+        best, l1, l2 = _scan_block(spec, dropped, gates, mode, ws, ix, iy,
+                                   mx_range, my_range)
+        level1 += l1
+        level2 += l2
         if best is not None:
             hits.append((iy, *best))
-    return hits
+    return hits, level1, level2
 
 
 def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
                n_dom: int, n_cod: int, rows: list[_Row],
-               workers: int) -> Iterator[list[tuple]]:
+               workers: int) -> Iterator[tuple[list[tuple], int, int]]:
     """Scan the rows, in a process pool when more than one worker is asked
-    for, and yield the hits of each row (see :func:`_run_row`) in row order
-    as the rows finish.  The pool has at most one process per row and per
-    CPU."""
+    for, and yield the result of each row (see :func:`_run_row`) in row
+    order as the rows finish.  The pool has at most one process per row
+    and per CPU."""
     tasks = [(theorem_id, dropped, mode, n_dom, n_cod, row) for row in rows]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -395,7 +450,7 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
     instances, so its least key is the labeled one.
     """
     _checked_spec(theorem_id, dropped)
-    instances = scanned = hit_blocks = 0
+    instances = scanned = hit_blocks = level1 = level2 = 0
     keys: list[tuple] = []
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
@@ -409,16 +464,20 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
         else:
             cols = [(iy, my_range) for iy in range(len(ws.tops_y))]
             rows = [(ix, mx_range, cols) for ix in range(len(ws.tops_x))]
-        for (ix, xs, cols), hits in zip(rows, _scan_rows(
+        for (ix, xs, cols), (hits, l1, l2) in zip(rows, _scan_rows(
                 theorem_id, dropped, mode, n_dom, n_cod, rows, workers or 1)):
             scanned += len(ws.maps) * len(xs) * sum(len(ys) for _, ys in cols)
+            level1 += l1
+            level2 += l2
             hit_blocks += len(hits)
             keys += [(size_idx, ix, mx, iy, my, fi)
                      for iy, mx, my, fi in hits]
             if progress is not None:
                 progress(f"n=({n_dom},{n_cod}) domain={ix}", scanned,
                          hit_blocks)
-    return instances, min(keys, default=None), {"instances_scanned": scanned}
+    return instances, min(keys, default=None), {
+        "instances_scanned": scanned, "level1_passed": level1,
+        "level2_passed": level2}
 
 
 def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
@@ -426,12 +485,19 @@ def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
                 progress: Optional[ProgressFn],
                 carriers: Optional[tuple[int, ...]]) -> SearchReport:
     """Run :func:`_search` over the sorted distinct ``carriers`` and report
-    its least instance."""
+    its least instance.  Refuses an empty tuple of carriers, and a carrier
+    with a point beyond the larger bound, which no size pair could scan."""
     if carriers is not None:
+        if not carriers:
+            raise BadMask("carriers must name at least one mask")
+        n = max(bounds.max_n_dom, bounds.max_n_cod)
         for c in carriers:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise BadMask(
                     f"carrier must be a non-negative integer mask, got {c!r}")
+            if c >> n:
+                raise BadMask(f"carrier {c} has a point beyond the {n} "
+                              f"points of the bounds")
         carriers = tuple(sorted(set(carriers)))
     start = time.perf_counter()
     instances, best, stats = _search(theorem_id, frozenset(dropped), mode,
@@ -519,7 +585,7 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
     dropped_set = frozenset(dropped)
     violated = _violated(mode)
     found: Optional[thm.Instance] = None
-    visited = 0
+    visited = level1 = level2 = 0
     for _ in range(sample):
         visited += 1
         n_dom, n_cod = pairs[rng.randrange(len(pairs))]
@@ -531,11 +597,17 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         fi = rng.randrange(len(ws.maps))
         inst = _instance_from_key(ws, ix, mx, iy, my, fi)
         ctx = thm._ctx_for(inst)
-        if (thm.hypotheses_pass(spec, ctx, dropped_set, 1)
-                and thm.hypotheses_pass(spec, ctx, dropped_set, 2)
-                and violated(spec, ctx)):
+        if not thm.hypotheses_pass(spec, ctx, dropped_set, 1):
+            continue
+        level1 += 1
+        if not thm.hypotheses_pass(spec, ctx, dropped_set, 2):
+            continue
+        level2 += 1
+        if violated(spec, ctx):
             found = inst
             break
+    stats = {"instances_scanned": visited, "level1_passed": level1,
+             "level2_passed": level2}
     return _finish(theorem_id, dropped, bounds, visited, found,
-                   time.perf_counter() - start, {"instances_scanned": visited},
+                   time.perf_counter() - start, stats,
                    exhaustive=False, sampled=True, seed=seed)

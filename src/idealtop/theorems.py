@@ -47,6 +47,13 @@ side, ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every ``B``.  ``rel`` is
 declarations.  Star continuity, star openness, the star homeomorphism and
 SAMUELS walk open sets instead; an equivalence is true when its members
 all hold or all fail.
+
+The search decides a block's codomain carriers at once, as bitmasks over
+them (:class:`_Carriers`).  Each declaration's :meth:`Transport.mask` ANDs
+per-carrier table entries over the same subsets its scalar evaluator
+walks; the level-2 hypotheses have mask forms (``_GATE_MASKS``), and the
+other checkers run once per carrier.  ``check`` and sampling use the
+scalar forms, which the tests pin the masks to.
 """
 
 from __future__ import annotations
@@ -299,6 +306,90 @@ class Transport:
 
     def holds(self, ctx: _Ctx) -> bool:
         return self(ctx) is None
+
+    def mask(self, ctx: _Ctx, cv: "_Carriers") -> int:
+        """The positions of ``cv`` whose codomain side makes the
+        declaration hold, with the domain side and the map from ``ctx``.
+
+        On the domain side each ``A`` reads row ``f[A]``, column
+        ``f[op_X(A)]`` of a table.  On the codomain side, with
+        ``L = op_X(f^-1 B)`` and ``R = op_Y(B)``, ``L <= f^-1 R`` iff
+        ``f[L] <= R``, and ``f^-1 R <= L`` iff ``R`` misses ``f[X - L]``.
+        """
+        img, op_x = ctx.img, getattr(ctx.sx, self.op)
+        hold = cv.full
+        if self.side == "domain":
+            rows = cv[self.op, _DOMAIN_TESTS[self.rel]]
+            for op_a, img_a in zip(op_x, img):
+                hold &= rows[img_a][img[op_a]]
+            return hold
+        if self.rel != ">=":
+            for row, p in zip(cv[self.op, "sub"], ctx.pre):
+                hold &= row[img[op_x[p]]]
+        if self.rel != "<=":
+            full_x = ctx.sx.full
+            for row, p in zip(cv[self.op, "disj"], ctx.pre):
+                hold &= row[img[full_x ^ op_x[p]]]
+        return hold
+
+
+# the relation of f[op_X(A)] to op_Y(f[A]) as a carrier-table test
+_DOMAIN_TESTS = {"<=": "sub", ">=": "sup", "==": "eq"}
+_TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
+          "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
+
+
+class _Carriers(dict):
+    """The codomain sides of one search block, one bit position each, so
+    that a mask over the positions decides every codomain carrier at once.
+
+    ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
+    mask of the positions whose side has ``u <= op(b)`` ("sub"),
+    ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
+    ``op(b)`` ("disj").  ``self["carrier", test][u]`` tests ``u`` against
+    the carrier itself.  Each table is built on first read.
+    """
+
+    __slots__ = ("sides", "n", "full")
+
+    def __init__(self, sides: list[_Side]) -> None:
+        super().__init__()
+        self.sides = sides
+        self.n = sides[0].n
+        self.full = (1 << len(sides)) - 1
+
+    def __missing__(self, key: tuple[str, str]) -> tuple:
+        op, test = key
+        if op == "carrier":
+            tab = self._row([s.carrier for s in self.sides], _TESTS[test])
+        else:
+            ops = [getattr(s, op) for s in self.sides]
+            tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
+                        for b in range(1 << self.n))
+        self[key] = tab
+        return tab
+
+    def _row(self, values: list[int], test) -> tuple[int, ...]:
+        """For each subset ``u``, the positions ``j`` with
+        ``test(u, values[j])``."""
+        at: dict[int, int] = {}  # each value with the positions that have it
+        for j, v in enumerate(values):
+            at[v] = at.get(v, 0) | 1 << j
+        return tuple(sum(pos for v, pos in at.items() if test(u, v))
+                     for u in range(1 << self.n))
+
+
+def _per_carrier(holds: Callable[[_Ctx], bool], ctx: _Ctx, cv: _Carriers,
+                 live: int) -> int:
+    """The positions in ``live`` whose codomain side makes ``holds`` true,
+    evaluated one side at a time in ``ctx.sy``."""
+    out = 0
+    for j, side in enumerate(cv.sides):
+        if (live >> j) & 1:
+            ctx.sy = side
+            if holds(ctx):
+                out |= 1 << j
+    return out
 
 
 def _subset_witness(side: str, mask: Optional[int]) -> Optional[Witness]:
@@ -594,6 +685,98 @@ def conclusions_violated(spec: TheoremSpec, ctx: _Ctx) -> bool:
 def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
     return next(w for c, w in _concl_results(spec, ctx)
                 if c.name == spec.designated) is not None
+
+
+# the same decisions as masks over a block's codomain carriers (see
+# :class:`_Carriers`), with the domain side and the map fixed in ``ctx``
+
+def _domain_only(fn: Callable[[_Ctx], bool]):
+    """The mask form of a level-2 hypothesis that reads no codomain
+    carrier: all positions or none."""
+    return lambda ctx, cv, live: cv.full if fn(ctx) else 0
+
+
+def _each_carrier(fn: Callable[[_Ctx], bool]):
+    return lambda ctx, cv, live: _per_carrier(fn, ctx, cv, live)
+
+
+def _m_preimage_ok(ctx, cv, live):
+    # f^-1 N <= M iff N misses f[X - M]
+    return cv["carrier", "disj"][ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
+
+
+def _m_image_ok(ctx, cv, live):
+    return cv["carrier", "sub"][ctx.img[ctx.sx.carrier]]
+
+
+def _m_equivalence_ok(ctx, cv, live):
+    return _m_preimage_ok(ctx, cv, live) & _m_image_ok(ctx, cv, live)
+
+
+def _m_image_ideal_equal(ctx, cv, live):
+    return cv["carrier", "eq"][ctx.img[ctx.sx.carrier]]
+
+
+# the mask form of every level-2 hypothesis, in the order a gate evaluates
+# them: table reads, then one evaluation per block, then one per carrier
+_GATE_MASKS = {
+    _h_preimage_ok: _m_preimage_ok,
+    _h_image_ok: _m_image_ok,
+    _h_equivalence_ok: _m_equivalence_ok,
+    _h_image_ideal_equal: _m_image_ideal_equal,
+    _h_domain_star_full: _domain_only(_h_domain_star_full),
+    _h_domain_compatible: _domain_only(_h_domain_compatible),
+    _h_ideal_compact: _domain_only(_h_ideal_compact),
+    _star_to_base_continuous: _domain_only(_star_to_base_continuous),
+    _h_psi_domain_open: _domain_only(_h_psi_domain_open),
+    _h_codomain_compatible: _each_carrier(_h_codomain_compatible),
+    _h_psi_codomain_continuous: _each_carrier(_h_psi_codomain_continuous),
+}
+
+
+def level2_gates(spec: TheoremSpec, dropped: frozenset[str]) -> tuple:
+    """The mask forms of the theorem's level-2 hypotheses not dropped."""
+    fns = {h.fn for h in spec.hyps if h.level == 2 and h.name not in dropped}
+    return tuple(m for fn, m in _GATE_MASKS.items() if fn in fns)
+
+
+def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers) -> int:
+    """The positions of ``cv`` that pass every gate."""
+    live = cv.full
+    for gate in gates:
+        live &= gate(ctx, cv, live)
+        if not live:
+            break
+    return live
+
+
+def violations_mask(spec: TheoremSpec, mode: str, ctx: _Ctx, cv: _Carriers,
+                    live: int) -> int:
+    """The positions in ``live`` where a reported conclusion fails
+    (``mode`` "verify") or the designated one does ("find"): the mask form
+    of :func:`_concl_results`, in declaration order.  A declaration reads
+    the carrier tables; the other checkers run once per live position."""
+    fails: dict[str, int] = {}
+    out = 0
+    for c in spec.concls:
+        if c.members:
+            some = all_ = fails[c.members[0]]
+            for m in c.members[1:]:
+                some |= fails[m]
+                all_ &= fails[m]
+            bad = some & ~all_
+        elif isinstance(c.fail, Transport):
+            bad = fails[c.name] = live & ~c.fail.mask(ctx, cv)
+        else:
+            fail = c.fail
+            bad = fails[c.name] = live & ~_per_carrier(
+                lambda ctx: fail(ctx) is None, ctx, cv, live)
+        if mode == "verify":
+            if c.report:
+                out |= bad
+        elif c.name == spec.designated:
+            return bad
+    return out
 
 
 # ---------------------------------------------------------------------------

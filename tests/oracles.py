@@ -4,11 +4,16 @@ Nothing here reuses package logic beyond raw data (ground-set sizes, masks,
 minimal-neighborhood tables); each oracle recomputes its answer from first
 principles so that agreement with the package is meaningful.  The
 conclusion tables at the end are keyed by the package's declarations, but
-their predicates read only the definitions.
+their predicates read only the definitions.  The map classification and
+the block scan the package replaced with faster forms are kept here as
+they were, to pin the new forms to.
 """
 
 from itertools import combinations
 
+from idealtop import theorems as thm
+from idealtop.maps import _PROFILES, _check_dims, image_table, preimage_table
+from idealtop.search import _violated
 from idealtop.theorems import (Transport, _open_star, _samuels_iff,
                                _star_homeo, _tc2_c)
 
@@ -323,3 +328,49 @@ HOLDS_ON_CODOMAIN = {
     _samuels_iff: lambda X, Y, f, o: (o not in Y.opens
                                       or f.preimage(o) in X.opens),
 }
+
+
+# -- the map classification and block scan the package replaced ------------
+
+def classify_by_is_open(f, t_dom, t_cod):
+    """The package's former map classification: each preimage and image
+    tested with the validated ``is_open`` and ``is_closed`` of its
+    topology."""
+    _check_dims(f, t_dom, t_cod)
+    pre = preimage_table(f)
+    img = image_table(f)
+    continuous = all(t_dom.is_open(pre[o]) for o in t_cod.opens())
+    open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
+    full = t_dom.full
+    closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
+    return _PROFILES[continuous, open_map, closed_map, f.injective,
+                     f.surjective]
+
+
+def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
+                           my_range):
+    """The search's former block scan, one instance at a time through the
+    scalar gates and conclusion checkers: the least (m_x, m_y, f_index)
+    violating candidate in one topology-pair block, over the given domain
+    and codomain carriers, or None."""
+    sides_x = ws.sides_x[ix]
+    sides_y = ws.sides_y[iy]
+    profs = ws.profiles(ix, iy)
+    ctx = thm._Ctx(sides_x[0], sides_y[0], ws.imgs[0], ws.pres[0], profs[0])
+    violated = _violated(mode)
+    best = None
+    for fi, prof in enumerate(profs):
+        ctx.img, ctx.pre, ctx.prof = ws.imgs[fi], ws.pres[fi], prof
+        if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
+            continue
+        for mx in mx_range:
+            ctx.sx = sides_x[mx]
+            for my in my_range:
+                ctx.sy = sides_y[my]
+                if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
+                    continue
+                if violated(spec, ctx):
+                    key = (mx, my, fi)
+                    if best is None or key < best:
+                        best = key
+    return best

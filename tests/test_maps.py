@@ -1,7 +1,10 @@
 """Images, preimages, and map classification."""
 
+import random
+
 import pytest
 
+import oracles
 from idealtop import (DimensionMismatch, FiniteMap, classify, compose,
                       constant_map, continuity_characterizations, discrete,
                       identity_map, image, image_table, preimage,
@@ -101,3 +104,21 @@ def test_bijections_open_iff_closed(n):
                     continue
                 prof = classify(f, t_dom, t_cod)
                 assert prof.open_map == prof.closed_map
+
+
+def test_classify_matches_the_validated_openness_tests():
+    # every triple up to three points a side (24,872), then seeded 4-point
+    # triples
+    triples = [(f, t_dom, t_cod)
+               for n_dom in (1, 2, 3) for n_cod in (1, 2, 3)
+               for t_dom in enumerate_topologies(n_dom)
+               for t_cod in enumerate_topologies(n_cod)
+               for f in enumerate_maps(n_dom, n_cod)]
+    assert len(triples) == 24_872
+    rng = random.Random(4)
+    tops, maps = list(enumerate_topologies(4)), list(enumerate_maps(4, 4))
+    triples += [(rng.choice(maps), rng.choice(tops), rng.choice(tops))
+                for _ in range(5_000)]
+    for f, t_dom, t_cod in triples:
+        assert classify(f, t_dom, t_cod) is oracles.classify_by_is_open(
+            f, t_dom, t_cod), (f, t_dom, t_cod)

@@ -217,6 +217,20 @@ def test_carrier_scan_keeps_only_representative_blocks(monkeypatch):
                              for iy, _ in ws.orbits_y}
 
 
+def test_carrier_tables_are_shared_and_kept_for_representatives(monkeypatch):
+    monkeypatch.setattr(search, "_WORKSPACES", {})
+    monkeypatch.setattr(search, "_POINTS", {})
+    verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
+    three = search._points(3)
+    assert three.cvs == {}
+    verify_exhaustive("TC1", SearchBounds(3, 3))
+    # one entry per codomain class on three points, whatever the domain size
+    assert set(three.cvs) == {iy for iy, _ in three.orbits}
+    iy, ys = three.orbits[-1]
+    assert all(search._workspace(n, 3).carriers(iy, ys) is three.cvs[iy]
+               for n in (1, 2, 3))
+
+
 def test_sampling_is_deterministic_and_noncertifying():
     a = sample_search("CONTPSI", ("surjective",), bounds=SearchBounds(3, 3),
                       sample=500, seed=7)
@@ -224,6 +238,16 @@ def test_sampling_is_deterministic_and_noncertifying():
                       sample=500, seed=7)
     assert a.sampled and not a.certified
     assert a.same_result(b)
+    assert a.stats == b.stats
+
+
+def test_sampling_reports_its_gate_funnel():
+    r = sample_search("TC1", bounds=SearchBounds(3, 3), sample=300, seed=0,
+                      mode="verify")
+    assert r.counterexample is None
+    st = r.stats
+    assert st["instances_scanned"] == 300
+    assert 0 < st["level2_passed"] < st["level1_passed"] < 300
 
 
 def test_sampling_at_four_points_classifies_once_per_draw(monkeypatch):
@@ -287,16 +311,18 @@ def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
     assert {(ix, m) for ix, carriers in reps for m in carriers} == least
 
 
-ALL_CARRIERS = tuple(range(1 << 4))
+def all_carriers(bounds):
+    """Every carrier within the bounds; naming them forces the labeled
+    scan."""
+    return tuple(range(1 << max(bounds.max_n_dom, bounds.max_n_cod)))
 
 
 def reduced_and_labeled(tid, dropped, mode, bounds, progress=None):
     """(nominal instances, least key) of the reduced and of the labeled scan,
-    with the reduced scan's progress; naming every carrier forces the
-    labeled scan."""
+    with the reduced scan's progress."""
     return [_search(tid, frozenset(dropped), mode, bounds, 1,
                     progress if carriers is None else None, carriers)[:2]
-            for carriers in (None, ALL_CARRIERS)]
+            for carriers in (None, all_carriers(bounds))]
 
 
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
@@ -328,7 +354,8 @@ def test_reduced_scan_finds_the_labeled_least_key_at_three_points(tid,
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
 def test_reduced_certification_matches_the_labeled_scan(tid):
     reduced = verify_exhaustive(tid, SearchBounds(2, 3))
-    labeled = verify_exhaustive(tid, SearchBounds(2, 3), carriers=ALL_CARRIERS)
+    labeled = verify_exhaustive(tid, SearchBounds(2, 3),
+                                carriers=all_carriers(SearchBounds(2, 3)))
     assert reduced.certified and reduced.counterexample is None
     assert labeled.counterexample is None
     assert reduced.instances_checked == labeled.instances_checked
@@ -338,19 +365,38 @@ def test_reduced_certification_matches_the_labeled_scan(tid):
 def test_search_stats_count_the_instances_walked():
     r = verify_exhaustive("JHCOMP", SearchBounds(3, 3))
     assert r.certified and r.instances_checked == 1_519_332
-    # representative pairs per size: 2, 10, 54; maps n_cod ** n_dom
-    assert r.stats == {"instances_scanned": 88_808}
+    # representative pairs per size: 2, 10, 54; maps n_cod ** n_dom; of
+    # these, 1,360 pass the level-1 gate (bijections into Hausdorff
+    # codomains) and 94 both gates
+    assert r.stats == {"instances_scanned": 88_808, "level1_passed": 1_360,
+                       "level2_passed": 94}
     assert r.to_json()["stats"] == r.stats
     found = find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2))
     assert found.counterexample is not None
     # (1,1): 2*2*1, (1,2): 2*10*2, (2,1): 10*2*1, (2,2): 10*10*4, and no
     # labeled block walked on top
-    assert found.stats == {"instances_scanned": 464}
+    assert found.stats == {"instances_scanned": 464, "level1_passed": 162,
+                           "level2_passed": 103}
     assert found.same_result(dataclasses.replace(found, stats={}))
 
 
 # Single drops at (3,3) that find no counterexample, and HR34's two bijection
-# drops, which do; each walks only the 88,808 representative instances.
+# drops, which do; each walks only the 88,808 representative instances.  The
+# gate funnel counts those that pass the level-1 gate and both gates; the
+# compatibility drops leave it as it is, since compatibility always holds.
+DROP_FUNNEL = {
+    ("HR34", "codomain_compatible"): (17_700, 3_449),
+    ("HR35", "domain_compatible"): (17_700, 3_449),
+    ("HR35", "injective"): (21_068, 4_598),
+    ("HR35", "surjective"): (21_304, 4_153),
+    ("JHCOMP", "ideal_compact"): (1_360, 94),
+    ("JHCOMP", "image_ideal_equal"): (1_360, 544),
+    ("CLOSEDSUR", "injective"): (25_542, 13_255),
+    ("HR34", "injective"): (21_068, 4_551),
+    ("HR34", "surjective"): (21_304, 4_953),
+}
+
+
 @pytest.mark.parametrize("tid,dropped,found", [
     ("HR34", "codomain_compatible", False),
     ("HR35", "domain_compatible", False),
@@ -366,4 +412,99 @@ def test_single_drops_at_three_points(tid, dropped, found):
     r = find_counterexample(tid, (dropped,), SearchBounds(3, 3))
     assert (r.counterexample is not None) == found
     assert r.certified == (not found)
-    assert r.stats == {"instances_scanned": 88_808}
+    level1, level2 = DROP_FUNNEL[tid, dropped]
+    assert r.stats == {"instances_scanned": 88_808, "level1_passed": level1,
+                       "level2_passed": level2}
+
+
+# -- the carrier-vector kernel against the per-instance scan -------------------
+
+def scans(tid):
+    """The theorem's verification and its single drops in find mode, as
+    (dropped, mode) pairs."""
+    return [(frozenset(), "verify")] + [
+        (frozenset({h}), "find") for h in THEOREMS[tid].hypothesis_names]
+
+
+def blocks(ws, labeled):
+    """(ix, mx_range, iy, my_range) for every block of a workspace: the
+    representative ones, or every labeled one with all carriers."""
+    if labeled:
+        every = range(len(ws.sides_x[0]))
+        xs = [(ix, every) for ix in range(len(ws.tops_x))]
+        every = range(len(ws.sides_y[0]))
+        ys = [(iy, every) for iy in range(len(ws.tops_y))]
+    else:
+        xs, ys = ws.orbits_x, ws.orbits_y
+    return [(ix, mx_range, iy, my_range) for ix, mx_range in xs
+            for iy, my_range in ys]
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+@pytest.mark.parametrize("bounds,labeled", [(SearchBounds(3, 3), False),
+                                            (SearchBounds(2, 2), True)])
+def test_kernel_finds_the_per_instance_least_key_in_every_block(
+        tid, bounds, labeled):
+    spec = THEOREMS[tid]
+    for dropped, mode in scans(tid):
+        gates = search.thm.level2_gates(spec, dropped)
+        for pair in bounds.size_pairs():
+            ws = search._workspace(*pair)
+            for ix, xs, iy, ys in blocks(ws, labeled):
+                best = search._scan_block(spec, dropped, gates, mode, ws, ix,
+                                          iy, xs, ys)[0]
+                assert best == oracles.scan_block_by_instance(
+                    spec, dropped, mode, ws, ix, iy, xs, ys), (
+                    tid, dropped, pair, ix, iy)
+
+
+def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
+    levels, transports = [], []
+    gate = search.thm.hypotheses_pass
+    monkeypatch.setattr(search.thm, "hypotheses_pass",
+                        lambda spec, ctx, dropped, level: (
+                            levels.append(level)
+                            or gate(spec, ctx, dropped, level)))
+    call = search.thm.Transport.__call__
+    monkeypatch.setattr(search.thm.Transport, "__call__",
+                        lambda self, ctx: transports.append(self)
+                        or call(self, ctx))
+    r = verify_exhaustive("TC1", SearchBounds(3, 3))
+    assert r.certified
+    # one level-1 gate per map and representative block (topology classes
+    # 1, 3, 9 for 1, 2, 3 points; maps n_cod ** n_dom), and no per-instance
+    # level-2 gate or declaration
+    assert len(levels) == sum(
+        (1, 3, 9)[nx - 1] * (1, 3, 9)[ny - 1] * ny ** nx
+        for nx, ny in SearchBounds(3, 3).size_pairs()) == 2_728
+    assert set(levels) == {1}
+    assert transports == []
+
+
+def test_gate_funnel_is_the_same_for_any_worker_count():
+    a = find_counterexample("HR34", ("injective",), SearchBounds(3, 3),
+                            workers=1)
+    b = find_counterexample("HR34", ("injective",), SearchBounds(3, 3),
+                            workers=2)
+    assert a.stats == b.stats
+    assert a.same_result(b)
+    assert a.same_result(dataclasses.replace(a, stats={}))
+
+
+@pytest.mark.parametrize("carriers", [(), (100,), (3, 100), (0, 4)])
+def test_carriers_must_fit_the_bounds(monkeypatch, carriers):
+    def no_scan(*args):
+        raise AssertionError("scanned before the carriers were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    with pytest.raises(BadMask):
+        verify_exhaustive("TC1", SearchBounds(2, 2), carriers=carriers)
+    with pytest.raises(BadMask):
+        find_counterexample("CONTPSI", ("surjective",), SearchBounds(1, 2),
+                            carriers=carriers)
+
+
+def test_carrier_within_the_larger_bound_is_accepted():
+    # 4 = {2} fits the three codomain points, not the one domain point
+    r = verify_exhaustive("TC1", SearchBounds(1, 3), carriers=(0, 4))
+    assert r.ideal_carriers == (0, 4) and r.instances_checked > 0

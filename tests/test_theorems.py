@@ -324,3 +324,11 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
     assert names == ["a_iff_b", "b_iff_c", "a_iff_c"]
     info_names = [name for name, _ in v.info]
     assert info_names == ["a", "b", "c"]
+
+
+def test_every_level2_hypothesis_has_a_mask_form():
+    # the search gates a block's codomain carriers through these alone
+    for spec in thm.THEOREMS.values():
+        for h in spec.hyps:
+            assert (h.fn in thm._GATE_MASKS) == (h.level == 2), (
+                spec.theorem_id, h.name)
