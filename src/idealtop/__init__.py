@@ -7,9 +7,9 @@ replay the constructed counterexamples, and exhaustively certify or refute
 theorem variants over every instance with a few points.
 """
 
-from .errors import (BadMask, BadPoint, CapExceeded, DimensionMismatch,
-                     IdealTopError, InputFileError, NotATopology,
-                     UnknownHypothesisName, UnknownTheorem)
+from .errors import (BadMask, BadPoint, BadSearchOption, CapExceeded,
+                     DimensionMismatch, IdealTopError, InputFileError,
+                     NotATopology, UnknownHypothesisName, UnknownTheorem)
 from .space import (MAX_POINTS, SeparationProfile, Topology, closure,
                     discrete, format_mask, full_mask, generate_topology,
                     indiscrete, interior, is_open, make_topology, mask_of,

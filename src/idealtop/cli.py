@@ -153,8 +153,6 @@ def cmd_search(args) -> int:
     if args.sample is not None:
         if args.seed is None:
             raise IdealTopError("--sample requires an explicit --seed")
-        if args.sample < 1:
-            raise IdealTopError(f"--sample must be at least 1, got {args.sample}")
         if carriers is not None:
             raise IdealTopError("--carrier cannot be combined with --sample")
         report = search_mod.sample_search(

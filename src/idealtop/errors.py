@@ -31,6 +31,10 @@ class UnknownTheorem(IdealTopError):
     """Theorem identifier not in the checker registry."""
 
 
+class BadSearchOption(IdealTopError):
+    """A search mode or sample size is outside its accepted values."""
+
+
 class UnknownHypothesisName(IdealTopError):
     """A dropped-hypothesis name does not occur in the theorem."""
 

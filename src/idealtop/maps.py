@@ -7,7 +7,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BadPoint, DimensionMismatch
-from .space import Topology, check_mask, check_point_count, full_mask
+from .space import (Topology, _is_open_unchecked, check_mask, check_point_count,
+                    full_mask)
 from .star import _top_tables
 
 
@@ -151,32 +152,55 @@ def _check_dims(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> None:
             f"{t_dom.n} and {t_cod.n} points")
 
 
+def _continuous(img: tuple[int, ...], nb_dom: tuple[int, ...],
+                nb_cod: tuple[int, ...]) -> bool:
+    """Whether the map with image table ``img`` is continuous from the
+    topology with minimal neighborhoods ``nb_dom`` to the one with
+    ``nb_cod``: iff ``f[N(x)] <= N(f(x))`` for every ``x``, since the
+    preimage of an open set is open iff it holds ``N(x)`` for each of its
+    points ``x``."""
+    for x, a in enumerate(nb_dom):
+        if img[a] & ~nb_cod[img[1 << x].bit_length() - 1]:
+            return False
+    return True
+
+
+def _open(img: tuple[int, ...], nb_dom: tuple[int, ...],
+          nb_cod: tuple[int, ...]) -> bool:
+    """Whether the map with image table ``img`` is open between the
+    topologies with minimal neighborhoods ``nb_dom`` and ``nb_cod``: iff
+    every ``f[N(x)]`` is open, since every open set is the union of the
+    minimal neighborhoods of its points and images preserve unions."""
+    for a in nb_dom:
+        if not _is_open_unchecked(nb_cod, img[a]):
+            return False
+    return True
+
+
 def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """Classify ``f`` between two topologies.
 
-    Continuity is decided by open preimages; the other four textbook
-    characterizations are in :func:`continuity_characterizations`.  Each
-    set is looked up in the open-set bitmap of its side: a closed image
-    is one whose complement is open.
+    Continuity and openness are decided on minimal neighborhoods; the five
+    textbook characterizations of continuity are in
+    :func:`continuity_characterizations`.  Closed sets are the unions of
+    point closures, so ``f`` is closed iff every ``f[cl{x}]`` is closed.
     """
     _check_dims(f, t_dom, t_cod)
-    pre = preimage_table(f)
     img = image_table(f)
-    tx, ty = _top_tables(t_dom), _top_tables(t_cod)
-    bx, by, full_x, full_y = tx.opens_bm, ty.opens_bm, tx.full, ty.full
-    continuous = all(bx >> pre[o] & 1 for o in ty.opens)
-    open_map = all(by >> img[u] & 1 for u in tx.opens)
-    closed_map = all(by >> (full_y ^ img[full_x ^ u]) & 1 for u in tx.opens)
-    return _PROFILES[continuous, open_map, closed_map, f.injective,
-                     f.surjective]
+    cl_x, cl_y = _top_tables(t_dom).cl, _top_tables(t_cod).cl
+    nb_x, nb_y = t_dom.min_nbhd, t_cod.min_nbhd
+    closed_map = all(cl_y[c] == c
+                     for c in (img[cl_x[1 << x]] for x in range(f.n_dom)))
+    return _PROFILES[_continuous(img, nb_x, nb_y), _open(img, nb_x, nb_y),
+                     closed_map, f.injective, f.surjective]
 
 
 def continuity_characterizations(f: FiniteMap, t_dom: Topology,
                                  t_cod: Topology) -> dict[str, bool]:
     """The five equivalent forms of continuity, each computed directly.
 
-    ``open_preimages`` is the working definition used by :func:`classify`;
-    the others quantify over arbitrary subsets and serve as cross-checks.
+    ``open_preimages`` quantifies over open sets; the others over arbitrary
+    subsets.  They serve as cross-checks of :func:`classify`.
     """
     _check_dims(f, t_dom, t_cod)
     pre = preimage_table(f)

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import BadMask, CapExceeded, UnknownHypothesisName
+from .errors import (BadMask, BadSearchOption, CapExceeded,
+                     UnknownHypothesisName)
 from .ideal import Ideal
 from .maps import FiniteMap, MapProfile, image_table, preimage_table
 from .space import Topology, full_mask
@@ -226,27 +227,24 @@ class _Points:
     """The tables of one side size ``n``, shared by every workspace with a
     side of that size: the topologies on ``n`` points, the side tables of
     each with each carrier, the relabeling classes, and the carrier tables
-    of a codomain topology (:class:`theorems._Carriers`), built when a scan
-    first reads them and kept only for class representatives with their
-    carriers, which is all an unrestricted scan reads."""
+    of a codomain topology with a tuple of carriers
+    (:class:`theorems._Carriers`), built when a scan first reads them."""
 
     def __init__(self, n: int) -> None:
         self.tops = list(enumerate_topologies(n))
         self.sides = [[_side_tables(t, m) for m in range(full_mask(n) + 1)]
                       for t in self.tops]
         self.orbits = _orbit_reps(self.tops)
-        self.kept_carriers = dict(self.orbits)
-        self.cvs: dict[int, thm._Carriers] = {}
+        self.cvs: dict[tuple[int, tuple[int, ...]], thm._Carriers] = {}
 
     def carriers(self, iy: int, my_range: Sequence[int]) -> thm._Carriers:
         """The sides of topology ``iy`` with the carriers ``my_range``, one
         bit position each, with their tables."""
-        keep = self.kept_carriers.get(iy) == tuple(my_range)
-        cv = self.cvs.get(iy) if keep else None
+        key = (iy, tuple(my_range))
+        cv = self.cvs.get(key)
         if cv is None:
-            cv = thm._Carriers([self.sides[iy][my] for my in my_range])
-            if keep:
-                self.cvs[iy] = cv
+            cv = self.cvs[key] = thm._Carriers([self.sides[iy][my]
+                                                for my in my_range])
         return cv
 
 
@@ -575,8 +573,13 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
                   mode: str = "find") -> SearchReport:
     """Deterministic seeded sampling for bounds too large to exhaust.
 
-    Never certifies; the report is labeled sampled.
+    Never certifies; the report is labeled sampled.  Refuses a ``mode``
+    other than "find" and "verify", and a ``sample`` below 1.
     """
+    if mode not in ("find", "verify"):
+        raise BadSearchOption(f"mode must be 'find' or 'verify', got {mode!r}")
+    if sample < 1:
+        raise BadSearchOption(f"sample must be at least 1, got {sample}")
     dropped = tuple(dict.fromkeys(dropped_hypotheses))
     spec = _checked_spec(theorem_id, dropped)
     rng = random.Random(seed)

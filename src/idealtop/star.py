@@ -16,15 +16,16 @@ definitional quantifier over all open neighborhoods is kept as
 
 Each (topology, carrier) pair has one set of tables (:class:`_Side`, built
 once and cached by :func:`_side_tables`): the local function, star closure
-and psi of every subset, the star and psi topologies, and the constant
-predicates.  The operators below read those tables, and so do the theorem
+and psi of every subset, and the minimal neighborhoods of the star and psi
+topologies.  The operators below read those tables, and so do the theorem
 checkers and the search, so every operator has exactly one implementation.
-The star topology is built in closed form from its minimal neighborhoods
-``(N(x) - M) | {x}`` (see :class:`_Side`).  Compatibility and
-smallness-compactness are constantly true on such spaces and are evaluated
-in that closed form, with the proof in each docstring; their definitional
-loops, like the second routes to the star topology and psi, live in the
-test oracles (``tests/oracles.py``).
+A finite space is Alexandrov, so a topology is its minimal-neighborhood
+table and nothing else: the star and psi topologies are built from theirs
+in closed form (see :class:`_Side`), and no open-set family is enumerated.
+Compatibility and smallness-compactness are constantly true on such spaces
+and are evaluated in that closed form, with the proof in each docstring;
+their definitional loops, like the second routes to the star topology and
+psi, live in the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch
 from .ideal import Ideal
-from .space import (Topology, check_mask, format_mask, generate_topology,
-                    separation_profile)
+from .space import Topology, check_mask, format_mask, separation_profile
 
 
 @dataclass(frozen=True)
@@ -66,30 +66,16 @@ class IdealSpace:
 # per-topology and per-(topology, carrier) tables
 # ---------------------------------------------------------------------------
 
-def _bitmap(masks) -> int:
-    """Membership bitmap over subset indices: bit ``a`` is set iff ``a`` is
-    one of ``masks``."""
-    bm = 0
-    for a in masks:
-        bm |= 1 << a
-    return bm
-
-
 class _TopT:
-    """Per-topology tables: closure of every subset, open family as list and
-    as a membership bitmap over subset indices, separation flags."""
+    """Per-topology tables: closure of every subset, separation flags."""
 
-    __slots__ = ("top", "n", "full", "min_nbhd", "cl", "opens", "opens_bm",
-                 "regular", "hausdorff")
+    __slots__ = ("n", "full", "min_nbhd", "cl", "regular", "hausdorff")
 
     def __init__(self, top: Topology) -> None:
-        self.top = top
         self.n = top.n
         self.full = top.full
         self.min_nbhd = top.min_nbhd
         self.cl = tuple(top.closure(a) for a in range(self.full + 1))
-        self.opens = top.opens()
-        self.opens_bm = _bitmap(self.opens)
         prof = separation_profile(top)
         self.regular = prof.regular
         self.hausdorff = prof.hausdorff
@@ -97,28 +83,32 @@ class _TopT:
 
 class _Side:
     """Per-(topology, carrier) tables: local function, star closure and psi
-    of every subset, the star and psi topologies with their opens,
-    compatibility, smallness-compactness, and the flag for the whole space
-    being its own local function.
+    of every subset, the minimal neighborhoods of the star and psi
+    topologies, and the flag for the whole space being its own local
+    function.
 
-    The star topology is built in closed form.  ``U`` is star-open iff its
-    complement ``C`` holds its own local function ``closure(C - M)``, that
-    is iff no point of ``U`` has a minimal neighborhood meeting ``C - M``:
-    iff ``N(x) - M <= U`` for every ``x`` in ``U``.  So ``(N(x) - M) | {x}``
-    is the minimal star neighborhood of ``x``: Jankovic and Hamlett's basis
-    set ``V - I`` of the star topology with ``V = N(x)`` and ``I = M - {x}``.
-    The table is transitive: ``y`` in ``N(x) - M`` gives ``N(y) <= N(x)``,
-    hence ``N(y) - M <= N(x) - M``.
+    ``U`` is star-open iff its complement ``C`` holds its own local function
+    ``closure(C - M)``, that is iff no point of ``U`` has a minimal
+    neighborhood meeting ``C - M``: iff ``N(x) - M <= U`` for every ``x`` in
+    ``U``.  So ``star_nbhd[x] = (N(x) - M) | {x}`` is the minimal star
+    neighborhood of ``x``: Jankovic and Hamlett's basis set ``V - I`` of the
+    star topology with ``V = N(x)`` and ``I = M - {x}``.  The table is
+    transitive: ``y`` in ``N(x) - M`` gives ``N(y) <= N(x)``, hence
+    ``N(y) - M <= N(x) - M``.
+
+    ``psi_nbhd[x] = psi(N(x))`` is the minimal neighborhood of ``x`` in the
+    topology generated by the psi-images of opens.  A point ``y`` lies in
+    ``psi(U)`` iff ``N(y) - M <= U``.  So ``x`` lies in ``psi(N(x))``, and
+    if ``x`` lies in ``psi(U)``, then ``U`` holds ``N(x) - M``, and
+    ``psi(N(x)) = psi(N(x) - M) <= psi(U)``.
     """
 
     __slots__ = ("tt", "n", "full", "carrier", "star", "cl_star", "psi",
-                 "star_top", "star_opens", "star_opens_bm",
-                 "psi_top", "psi_opens", "psi_opens_bm",
-                 "compatible", "star_full", "ideal_compact")
+                 "star_nbhd", "psi_nbhd", "star_full")
 
     def __init__(self, tt: _TopT, carrier: int) -> None:
         self.tt = tt
-        self.n = n = tt.n
+        self.n = tt.n
         self.full = full = tt.full
         self.carrier = carrier
         cl = tt.cl
@@ -126,17 +116,10 @@ class _Side:
         self.star = star = tuple(cl[a & not_m] for a in range(full + 1))
         self.cl_star = tuple(a | star[a] for a in range(full + 1))
         self.psi = tuple(full ^ star[full ^ a] for a in range(full + 1))
-        self.star_top = Topology(n, tuple((nb & not_m) | 1 << x
-                                          for x, nb in enumerate(tt.min_nbhd)))
-        self.star_opens = self.star_top.opens()
-        self.star_opens_bm = _bitmap(self.star_opens)
-        self.psi_top = generate_topology(n, {self.psi[u] for u in tt.opens})
-        self.psi_opens = self.psi_top.opens()
-        self.psi_opens_bm = _bitmap(self.psi_opens)
-        space = IdealSpace(tt.top, Ideal(n, carrier))
-        self.compatible = is_compatible(space)
+        self.star_nbhd = tuple((nb & not_m) | 1 << x
+                               for x, nb in enumerate(tt.min_nbhd))
+        self.psi_nbhd = tuple(self.psi[nb] for nb in tt.min_nbhd)
         self.star_full = star[full] == full
-        self.ideal_compact = is_ideal_compact(space)
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +180,13 @@ def star_topology(s: IdealSpace) -> Topology:
     """The finer topology whose closed sets are the ``A* <= A`` sets, with
     minimal neighborhoods ``(N(x) - M) | {x}`` (see :class:`_Side`).  It
     always sits between the base topology and the discrete topology."""
-    return _side_of(s).star_top
+    return Topology(s.n, _side_of(s).star_nbhd)
 
 
 def psi_topology(s: IdealSpace) -> Topology:
-    """Smallest topology containing the psi-image of every open set."""
-    return _side_of(s).psi_top
+    """Smallest topology containing the psi-image of every open set, with
+    minimal neighborhoods ``psi(N(x))`` (see :class:`_Side`)."""
+    return Topology(s.n, _side_of(s).psi_nbhd)
 
 
 def is_compatible(s: IdealSpace) -> bool:

@@ -44,15 +44,17 @@ closure ``A | A*``) or ``psi``.  On the ``domain`` side it compares
 side, ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every ``B``.  ``rel`` is
 ``<=``, ``>=`` or ``==``.  TC1 (a) is ``(star, domain, <=)``, CONTPSI (b) is
 ``(psi, codomain, >=)``, and the HOMEO exchanges are the ``==``
-declarations.  Star continuity, star openness, the star homeomorphism and
-SAMUELS walk open sets instead; an equivalence is true when its members
-all hold or all fail.
+declarations.  Continuity and openness between star, psi and base
+topologies are decided on minimal neighborhoods (``maps._continuous``,
+``maps._open``); a witness, the least failing open set, is searched for
+only once that has failed.  An equivalence is true when its members all
+hold or all fail.
 
 The search decides a block's codomain carriers at once, as bitmasks over
 them (:class:`_Carriers`).  Each declaration's :meth:`Transport.mask` ANDs
 per-carrier table entries over the same subsets its scalar evaluator
-walks; the level-2 hypotheses have mask forms (``_GATE_MASKS``), and the
-other checkers run once per carrier.  ``check`` and sampling use the
+walks; every other conclusion and every level-2 hypothesis has a mask form
+too (``_CONCL_MASKS``, ``_GATE_MASKS``).  ``check`` and sampling use the
 scalar forms, which the tests pin the masks to.
 """
 
@@ -65,8 +67,9 @@ from typing import Callable, Iterator, Optional
 
 from .errors import (BadPoint, CapExceeded, DimensionMismatch, UnknownTheorem)
 from .ideal import Ideal
-from .maps import FiniteMap, MapProfile, classify, image_table, preimage_table
-from .space import MAX_POINTS, Topology, full_mask, points_of
+from .maps import (FiniteMap, MapProfile, _continuous, _open, classify,
+                   image_table, preimage_table)
+from .space import MAX_POINTS, Topology, _is_open_unchecked, full_mask, points_of
 from .star import IdealSpace, _Side, _side_tables
 # unused here; perfbench/tracer.py wraps these attributes of this module by name
 from .star import is_compatible, is_ideal_compact
@@ -203,7 +206,8 @@ def _ctx_for(inst: Instance) -> _Ctx:
 # hypothesis predicates
 #
 # level 1 predicates read only the topologies and the map; level 2 also read
-# the carriers.  The search engine gates whole ideal blocks on level 1.
+# the carriers; level 0 ones are true on every finite carrier-ideal space.
+# The search engine gates whole ideal blocks on level 1.
 # ---------------------------------------------------------------------------
 
 def _h_continuous(ctx): return ctx.prof.continuous
@@ -235,33 +239,27 @@ def _h_image_ideal_equal(ctx):
 
 
 def _h_domain_star_full(ctx): return ctx.sx.star_full
-def _h_domain_compatible(ctx): return ctx.sx.compatible
-def _h_codomain_compatible(ctx): return ctx.sy.compatible
-def _h_ideal_compact(ctx): return ctx.sx.ideal_compact
 
 
-def _unpulled(opens, bm: int, table) -> Optional[int]:
-    """The first of ``opens`` whose entry in ``table`` (a map's preimage or
-    image table) is not in the membership bitmap ``bm``, or None."""
-    for o in opens:
-        if not (bm >> table[o]) & 1:
-            return o
-    return None
+def _h_always(ctx):
+    # compatibility and smallness-compactness; for the proofs, see
+    # ``star.is_compatible`` and ``star.is_ideal_compact``
+    return True
 
 
 def _star_to_base_continuous(ctx):
-    # opens of the codomain base topology pull back into the domain star topology
-    return _unpulled(ctx.sy.tt.opens, ctx.sx.star_opens_bm, ctx.pre) is None
+    # from the domain star topology to the codomain base topology
+    return _continuous(ctx.img, ctx.sx.star_nbhd, ctx.sy.tt.min_nbhd)
 
 
 def _h_psi_codomain_continuous(ctx):
     # continuity into the topology generated by codomain psi-images of opens
-    return _unpulled(ctx.sy.psi_opens, ctx.sx.tt.opens_bm, ctx.pre) is None
+    return _continuous(ctx.img, ctx.sx.tt.min_nbhd, ctx.sy.psi_nbhd)
 
 
 def _h_psi_domain_open(ctx):
     # openness out of the topology generated by domain psi-images of opens
-    return _unpulled(ctx.sx.psi_opens, ctx.sy.tt.opens_bm, ctx.img) is None
+    return _open(ctx.img, ctx.sx.psi_nbhd, ctx.sy.tt.min_nbhd)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +345,8 @@ class _Carriers(dict):
     mask of the positions whose side has ``u <= op(b)`` ("sub"),
     ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
     ``op(b)`` ("disj").  ``self["carrier", test][u]`` tests ``u`` against
-    the carrier itself.  Each table is built on first read.
+    the carrier itself.  For a per-point table ``op``, such as "psi_nbhd",
+    ``b`` is a point.  Each table is built on first read.
     """
 
     __slots__ = ("sides", "n", "full")
@@ -365,7 +364,7 @@ class _Carriers(dict):
         else:
             ops = [getattr(s, op) for s in self.sides]
             tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
-                        for b in range(1 << self.n))
+                        for b in range(len(ops[0])))
         self[key] = tab
         return tab
 
@@ -379,33 +378,32 @@ class _Carriers(dict):
                      for u in range(1 << self.n))
 
 
-def _per_carrier(holds: Callable[[_Ctx], bool], ctx: _Ctx, cv: _Carriers,
-                 live: int) -> int:
-    """The positions in ``live`` whose codomain side makes ``holds`` true,
-    evaluated one side at a time in ``ctx.sy``."""
-    out = 0
-    for j, side in enumerate(cv.sides):
-        if (live >> j) & 1:
-            ctx.sy = side
-            if holds(ctx):
-                out |= 1 << j
-    return out
-
-
-def _subset_witness(side: str, mask: Optional[int]) -> Optional[Witness]:
-    return None if mask is None else Witness("", side, "subset", mask=mask)
+def _least_failing_open(side: str, nb_src: tuple[int, ...],
+                        nb_dst: tuple[int, ...],
+                        table: tuple[int, ...]) -> Witness:
+    """The least set open under the minimal neighborhoods ``nb_src`` whose
+    entry in ``table``, a map's image or preimage table, is not open under
+    ``nb_dst``, as a witness on ``side``; there must be one."""
+    return Witness("", side, "subset", mask=next(
+        s for s in range(len(table)) if _is_open_unchecked(nb_src, s)
+        and not _is_open_unchecked(nb_dst, table[s])))
 
 
 def _tc2_c(ctx):
     # star-to-star continuity; witness is the least unpulled star-open set
-    return _subset_witness("codomain", _unpulled(
-        ctx.sy.star_opens, ctx.sx.star_opens_bm, ctx.pre))
+    sx, sy = ctx.sx, ctx.sy
+    if _continuous(ctx.img, sx.star_nbhd, sy.star_nbhd):
+        return None
+    return _least_failing_open("codomain", sy.star_nbhd, sx.star_nbhd,
+                               ctx.pre)
 
 
 def _open_star(ctx):
     # star-to-star openness; witness is the least unpushed star-open set
-    return _subset_witness("domain", _unpulled(
-        ctx.sx.star_opens, ctx.sy.star_opens_bm, ctx.img))
+    sx, sy = ctx.sx, ctx.sy
+    if _open(ctx.img, sx.star_nbhd, sy.star_nbhd):
+        return None
+    return _least_failing_open("domain", sx.star_nbhd, sy.star_nbhd, ctx.img)
 
 
 def _star_homeo(ctx):
@@ -419,15 +417,17 @@ def _star_homeo(ctx):
     return _tc2_c(ctx) or _open_star(ctx)
 
 
+def _base_iff_star(ctx):
+    return ctx.prof.continuous == _star_to_base_continuous(ctx)
+
+
 def _samuels_iff(ctx):
     """Base continuity iff star-to-base continuity; the witness is the least
-    codomain open set whose preimage misses the failing side."""
-    base = ctx.prof.continuous
-    if base == _star_to_base_continuous(ctx):
+    codomain open set whose preimage is not open on the failing side."""
+    if _base_iff_star(ctx):
         return None
-    bad_bm = ctx.sx.tt.opens_bm if not base else ctx.sx.star_opens_bm
-    return _subset_witness("codomain",
-                           _unpulled(ctx.sy.tt.opens, bad_bm, ctx.pre))
+    bad = ctx.sx.star_nbhd if ctx.prof.continuous else ctx.sx.tt.min_nbhd
+    return _least_failing_open("codomain", ctx.sy.tt.min_nbhd, bad, ctx.pre)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _samuels_iff(ctx):
 @dataclass(frozen=True)
 class HypSpec:
     name: str
-    level: int  # 1: topologies+map only; 2: needs the carriers
+    level: int  # 1: topologies+map only; 2: needs the carriers; 0: constant
     fn: Callable[[_Ctx], bool]
 
 
@@ -564,7 +564,7 @@ _SPECS = (
         "JHCOMP",
         (HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
-         HypSpec("ideal_compact", 2, _h_ideal_compact),
+         HypSpec("ideal_compact", 0, _h_always),
          HypSpec("codomain_hausdorff", 1, _h_codomain_hausdorff),
          HypSpec("image_ideal_equal", 2, _h_image_ideal_equal),
          HypSpec("star_to_base_continuous", 2, _star_to_base_continuous)),
@@ -579,7 +579,7 @@ _SPECS = (
         (HypSpec("psi_codomain_continuous", 2, _h_psi_codomain_continuous),
          HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
-         HypSpec("codomain_compatible", 2, _h_codomain_compatible),
+         HypSpec("codomain_compatible", 0, _h_always),
          HypSpec("preimage_ok", 2, _h_preimage_ok)),
         (ConclSpec("a", Transport("psi", "domain", ">=")),),
         designated="a"),
@@ -588,7 +588,7 @@ _SPECS = (
         (HypSpec("psi_domain_open", 2, _h_psi_domain_open),
          HypSpec("injective", 1, _h_injective),
          HypSpec("surjective", 1, _h_surjective),
-         HypSpec("domain_compatible", 2, _h_domain_compatible),
+         HypSpec("domain_compatible", 0, _h_always),
          HypSpec("image_ok", 2, _h_image_ok)),
         (ConclSpec("a", Transport("psi", "domain", "<=")),),
         designated="a"),
@@ -691,46 +691,80 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
 # :class:`_Carriers`), with the domain side and the map fixed in ``ctx``
 
 def _domain_only(fn: Callable[[_Ctx], bool]):
-    """The mask form of a level-2 hypothesis that reads no codomain
-    carrier: all positions or none."""
-    return lambda ctx, cv, live: cv.full if fn(ctx) else 0
+    """The mask form of a predicate that reads no codomain carrier: all
+    positions or none."""
+    return lambda ctx, cv: cv.full if fn(ctx) else 0
 
 
-def _each_carrier(fn: Callable[[_Ctx], bool]):
-    return lambda ctx, cv, live: _per_carrier(fn, ctx, cv, live)
-
-
-def _m_preimage_ok(ctx, cv, live):
+def _m_preimage_ok(ctx, cv):
     # f^-1 N <= M iff N misses f[X - M]
     return cv["carrier", "disj"][ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
 
 
-def _m_image_ok(ctx, cv, live):
+def _m_image_ok(ctx, cv):
     return cv["carrier", "sub"][ctx.img[ctx.sx.carrier]]
 
 
-def _m_equivalence_ok(ctx, cv, live):
-    return _m_preimage_ok(ctx, cv, live) & _m_image_ok(ctx, cv, live)
+def _m_equivalence_ok(ctx, cv):
+    return _m_preimage_ok(ctx, cv) & _m_image_ok(ctx, cv)
 
 
-def _m_image_ideal_equal(ctx, cv, live):
+def _m_image_ideal_equal(ctx, cv):
     return cv["carrier", "eq"][ctx.img[ctx.sx.carrier]]
 
 
+def _continuous_mask(ctx, cv, nb_x: tuple[int, ...], nb_y: str) -> int:
+    # the mask form of maps._continuous into the codomain sides' per-point
+    # table ``nb_y`` of minimal neighborhoods: f[N(x)] <= N_Y(f(x))
+    img, rows = ctx.img, cv[nb_y, "sub"]
+    hold = cv.full
+    for x, a in enumerate(nb_x):
+        hold &= rows[img[1 << x].bit_length() - 1][img[a]]
+    return hold
+
+
+def _m_psi_codomain_continuous(ctx, cv):
+    return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "psi_nbhd")
+
+
+def _m_star_continuous(ctx, cv):
+    return _continuous_mask(ctx, cv, ctx.sx.star_nbhd, "star_nbhd")
+
+
+def _m_star_open(ctx, cv):
+    # V = f[N*(x)] is star-open iff it misses the local function of Y - V
+    img, full, rows = ctx.img, ctx.sy.full, cv["star", "disj"]
+    hold = cv.full
+    for a in ctx.sx.star_nbhd:
+        hold &= rows[full ^ img[a]][img[a]]
+    return hold
+
+
+def _m_star_homeo(ctx, cv):
+    if not ctx.prof.bijective:
+        return 0
+    return _m_star_continuous(ctx, cv) & _m_star_open(ctx, cv)
+
+
 # the mask form of every level-2 hypothesis, in the order a gate evaluates
-# them: table reads, then one evaluation per block, then one per carrier
+# them: table reads, then one evaluation per block
 _GATE_MASKS = {
     _h_preimage_ok: _m_preimage_ok,
     _h_image_ok: _m_image_ok,
     _h_equivalence_ok: _m_equivalence_ok,
     _h_image_ideal_equal: _m_image_ideal_equal,
+    _h_psi_codomain_continuous: _m_psi_codomain_continuous,
     _h_domain_star_full: _domain_only(_h_domain_star_full),
-    _h_domain_compatible: _domain_only(_h_domain_compatible),
-    _h_ideal_compact: _domain_only(_h_ideal_compact),
     _star_to_base_continuous: _domain_only(_star_to_base_continuous),
     _h_psi_domain_open: _domain_only(_h_psi_domain_open),
-    _h_codomain_compatible: _each_carrier(_h_codomain_compatible),
-    _h_psi_codomain_continuous: _each_carrier(_h_psi_codomain_continuous),
+}
+
+# the mask form of every conclusion that is not a declaration
+_CONCL_MASKS = {
+    _tc2_c: _m_star_continuous,
+    _open_star: _m_star_open,
+    _star_homeo: _m_star_homeo,
+    _samuels_iff: _domain_only(_base_iff_star),
 }
 
 
@@ -744,7 +778,7 @@ def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers) -> int:
     """The positions of ``cv`` that pass every gate."""
     live = cv.full
     for gate in gates:
-        live &= gate(ctx, cv, live)
+        live &= gate(ctx, cv)
         if not live:
             break
     return live
@@ -754,8 +788,7 @@ def violations_mask(spec: TheoremSpec, mode: str, ctx: _Ctx, cv: _Carriers,
                     live: int) -> int:
     """The positions in ``live`` where a reported conclusion fails
     (``mode`` "verify") or the designated one does ("find"): the mask form
-    of :func:`_concl_results`, in declaration order.  A declaration reads
-    the carrier tables; the other checkers run once per live position."""
+    of :func:`_concl_results`, in declaration order."""
     fails: dict[str, int] = {}
     out = 0
     for c in spec.concls:
@@ -765,12 +798,10 @@ def violations_mask(spec: TheoremSpec, mode: str, ctx: _Ctx, cv: _Carriers,
                 some |= fails[m]
                 all_ &= fails[m]
             bad = some & ~all_
-        elif isinstance(c.fail, Transport):
-            bad = fails[c.name] = live & ~c.fail.mask(ctx, cv)
         else:
-            fail = c.fail
-            bad = fails[c.name] = live & ~_per_carrier(
-                lambda ctx: fail(ctx) is None, ctx, cv, live)
+            mask = (c.fail.mask if isinstance(c.fail, Transport)
+                    else _CONCL_MASKS[c.fail])
+            bad = fails[c.name] = live & ~mask(ctx, cv)
         if mode == "verify":
             if c.report:
                 out |= bad

@@ -4,17 +4,18 @@ Nothing here reuses package logic beyond raw data (ground-set sizes, masks,
 minimal-neighborhood tables); each oracle recomputes its answer from first
 principles so that agreement with the package is meaningful.  The
 conclusion tables at the end are keyed by the package's declarations, but
-their predicates read only the definitions.  The map classification and
-the block scan the package replaced with faster forms are kept here as
-they were, to pin the new forms to.
+their predicates read only the definitions.  The map classification, the
+open-set walks and the block scan the package replaced with faster forms
+are kept here as they were, to pin the new forms to.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from idealtop import theorems as thm
 from idealtop.maps import _PROFILES, _check_dims, image_table, preimage_table
 from idealtop.search import _violated
-from idealtop.theorems import (Transport, _open_star, _samuels_iff,
+from idealtop.theorems import (Transport, Witness, _open_star, _samuels_iff,
                                _star_homeo, _tc2_c)
 
 
@@ -345,6 +346,59 @@ def classify_by_is_open(f, t_dom, t_cod):
     closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
     return _PROFILES[continuous, open_map, closed_map, f.injective,
                      f.surjective]
+
+
+@lru_cache(maxsize=None)
+def walked_families(min_nbhd: tuple[int, ...], carrier: int):
+    """A side's base, star and psi open families, ascending, as the
+    package's side tables once listed them: the base opens as unions of
+    minimal neighborhoods, the star opens by their definition, and the
+    topology generated by the psi-images of the base opens."""
+    n, f = len(min_nbhd), full(len(min_nbhd))
+    base = tuple(sorted(alexandrov_opens(n, min_nbhd)))
+    star = star_opens_by_definition(n, base, carrier)[0]
+    images = frozenset(f & ~local_function_definitional(n, base, carrier, f & ~u)
+                       for u in base)
+    psi = tuple(sorted(alexandrov_opens(n, min_table_from_family(n, images))))
+    return base, star, psi
+
+
+def _unpulled(opens, targets, table):
+    """The first of ``opens`` whose entry in ``table`` (a map's preimage or
+    image table) is not among ``targets``, or None."""
+    return next((o for o in opens if table[o] not in targets), None)
+
+
+def predicates_by_walk(inst) -> dict:
+    """The seven predicates the package decides on minimal neighborhoods,
+    by the open-set walks it replaced, keyed by the package's predicate: a
+    witness or None for the four conclusions, a flag for the three
+    hypotheses."""
+    f = inst.f
+    img, pre = image_table(f), preimage_table(f)
+    xb, xs, xp = walked_families(inst.X.top.min_nbhd, inst.X.ideal.carrier)
+    yb, ys, yp = walked_families(inst.Y.top.min_nbhd, inst.Y.ideal.carrier)
+
+    def witness(side, mask):
+        return None if mask is None else Witness("", side, "subset", mask=mask)
+
+    tc2_c = witness("codomain", _unpulled(ys, set(xs), pre))
+    open_star = witness("domain", _unpulled(xs, set(ys), img))
+    homeo = tc2_c or open_star
+    if not f.bijective:
+        homeo = Witness("", "codomain", "point", point=next(
+            y for y in range(f.n_cod) if pre[1 << y].bit_count() != 1))
+    base = _unpulled(yb, set(xb), pre) is None
+    star_to_base = _unpulled(yb, set(xs), pre) is None
+    samuels = None if base == star_to_base else witness(
+        "codomain", _unpulled(yb, set(xs if base else xb), pre))
+    return {
+        _tc2_c: tc2_c, _open_star: open_star, _star_homeo: homeo,
+        _samuels_iff: samuels,
+        thm._star_to_base_continuous: star_to_base,
+        thm._h_psi_codomain_continuous: _unpulled(yp, set(xb), pre) is None,
+        thm._h_psi_domain_open: _unpulled(xp, set(yb), img) is None,
+    }
 
 
 def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,

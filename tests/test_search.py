@@ -6,11 +6,11 @@ from itertools import permutations
 import pytest
 
 import oracles
-from idealtop import (BadMask, CapExceeded, SearchBounds,
-                      UnknownHypothesisName,
+from idealtop import (BadMask, BadSearchOption, CapExceeded, SearchBounds,
+                      Topology, UnknownHypothesisName,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
-from idealtop import search
+from idealtop import search, space, star
 from idealtop.search import _orbit_reps, _search
 from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS
 
@@ -217,18 +217,30 @@ def test_carrier_scan_keeps_only_representative_blocks(monkeypatch):
                              for iy, _ in ws.orbits_y}
 
 
-def test_carrier_tables_are_shared_and_kept_for_representatives(monkeypatch):
+def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers(
+        monkeypatch):
     monkeypatch.setattr(search, "_WORKSPACES", {})
     monkeypatch.setattr(search, "_POINTS", {})
+    built = []
+    carriers_cls = search.thm._Carriers
+    monkeypatch.setattr(search.thm, "_Carriers",
+                        lambda sides: built.append(sides)
+                        or carriers_cls(sides))
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
+    # one table per codomain topology on 1, 2 and 3 points, though the scan
+    # walks (1 + 4 + 29) ** 2 = 1,156 labeled blocks
+    assert len(built) == 1 + 4 + 29
     three = search._points(3)
-    assert three.cvs == {}
+    labeled = {(iy, (0,)) for iy in range(29)}
+    assert set(three.cvs) == labeled
     verify_exhaustive("TC1", SearchBounds(3, 3))
-    # one entry per codomain class on three points, whatever the domain size
-    assert set(three.cvs) == {iy for iy, _ in three.orbits}
+    # and one per codomain class with its carriers, whatever the domain size
+    assert len(built) == 34 + 1 + 3 + 9
+    assert set(three.cvs) - labeled == set(three.orbits)
     iy, ys = three.orbits[-1]
-    assert all(search._workspace(n, 3).carriers(iy, ys) is three.cvs[iy]
+    assert all(search._workspace(n, 3).carriers(iy, ys) is three.cvs[iy, ys]
                for n in (1, 2, 3))
+    assert search._workspace(3, 3).carriers(iy, [0]) is three.cvs[iy, (0,)]
 
 
 def test_sampling_is_deterministic_and_noncertifying():
@@ -239,6 +251,13 @@ def test_sampling_is_deterministic_and_noncertifying():
     assert a.sampled and not a.certified
     assert a.same_result(b)
     assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("bad", [{"mode": "verfy"}, {"sample": 0},
+                                 {"sample": -5}])
+def test_sampling_refuses_a_bad_mode_or_sample_size(bad):
+    with pytest.raises(BadSearchOption):
+        sample_search("TC1", **{"sample": 50, "seed": 1, **bad})
 
 
 def test_sampling_reports_its_gate_funnel():
@@ -479,6 +498,39 @@ def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
         for nx, ny in SearchBounds(3, 3).size_pairs()) == 2_728
     assert set(levels) == {1}
     assert transports == []
+
+
+def test_certification_enumerates_no_open_set_and_no_carrier_one_by_one(
+        monkeypatch):
+    # from empty caches; a scalar checker could only decide another
+    # codomain carrier of a block by switching the context's codomain side
+    monkeypatch.setattr(search, "_WORKSPACES", {})
+    monkeypatch.setattr(search, "_POINTS", {})
+    for cached in (star._side_tables, star._top_tables, space._opens_of):
+        cached.cache_clear()
+    enumerated = []
+    opens = Topology.opens
+    monkeypatch.setattr(Topology, "opens",
+                        lambda top: enumerated.append(top) or opens(top))
+    contexts, codomains = [], []
+
+    class Ctx(search.thm._Ctx):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            contexts.append(self)
+            super().__init__(*args)
+
+        def __setattr__(self, name, value):
+            if name == "sy":
+                codomains.append(value)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(search.thm, "_Ctx", Ctx)
+    for tid in ALL_THEOREM_IDS:
+        assert verify_exhaustive(tid, SearchBounds(3, 3)).certified, tid
+    assert enumerated == []
+    assert len(codomains) == len(contexts) > 0
 
 
 def test_gate_funnel_is_the_same_for_any_worker_count():

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from strategies import preorders
 from idealtop import (Ideal, IdealSpace, Topology, check_local_function_laws,
-                      discrete, full_mask, indiscrete, is_compatible,
-                      is_ideal_compact, local_function,
+                      discrete, full_mask, generate_topology, indiscrete,
+                      is_compatible, is_ideal_compact, local_function,
                       local_function_by_definition, psi,
                       psi_topology, sierpinski, star_closure, star_topology)
 from idealtop.errors import DimensionMismatch
@@ -110,6 +110,14 @@ def test_psi_topology_examples(sierp_space):
     # psi of each open computed directly for the {1}-carrier
     got = psi_topology(sierp_space)
     assert set(got.opens()) == {0, 0b10, 0b11}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_psi_topology_is_generated_by_the_psi_images_of_opens(n):
+    # its minimal neighborhoods psi(N(x)), against the generated topology
+    for s in spaces(n):
+        want = generate_topology(n, {psi(s, u) for u in s.top.opens()})
+        assert psi_topology(s) == want, s
 
 
 def test_local_function_antitone_in_the_ideal():

@@ -1,5 +1,7 @@
 """Verdicts, the checker registry, and the counterexample constructions."""
 
+import random
+
 import pytest
 
 import oracles
@@ -94,6 +96,48 @@ def test_quantified_conclusions_match_their_definitions():
             assert w == expected, (concl, inst)
             count += 1
     assert count == 1124 * 16
+
+
+def walk_instances():
+    """Every instance with at most two points a side, then 5,000 seeded
+    ones with three or four points on both sides."""
+    yield from instances_up_to(2)
+    rng = random.Random(12)
+    tops = {n: list(enumerate_topologies(n)) for n in (3, 4)}
+    maps = {n: list(enumerate_maps(n, n)) for n in (3, 4)}
+    for _ in range(5_000):
+        n = rng.choice((3, 4))
+        x, y = (IdealSpace(rng.choice(tops[n]), Ideal(n, rng.randrange(1 << n)))
+                for _ in "xy")
+        yield Instance(x, y, rng.choice(maps[n]))
+
+
+def test_neighborhood_forms_match_the_open_set_walks():
+    # the seven predicates decided on minimal neighborhoods, witnesses
+    # included, against the walks over open families they replaced
+    count = 0
+    for inst in walk_instances():
+        ctx = thm._ctx_for(inst)
+        for fn, want in oracles.predicates_by_walk(inst).items():
+            assert fn(ctx) == want, (fn.__name__, inst)
+        count += 1
+    assert count == 1124 + 5_000
+
+
+def test_constant_hypotheses_hold_by_their_definitions():
+    # no gate reads a level-0 hypothesis
+    level0 = [(spec.theorem_id, h.name) for spec in thm.THEOREMS.values()
+              for h in spec.hyps if h.level == 0]
+    assert sorted(level0) == [("HR34", "codomain_compatible"),
+                              ("HR35", "domain_compatible"),
+                              ("JHCOMP", "ideal_compact")]
+    for n in (1, 2, 3):
+        for s in seeds(n):
+            assert oracles.is_compatible_by_definition(s)
+            assert oracles.is_ideal_compact_by_definition(s)
+    for inst in instances_up_to(2):
+        for tid, name in level0:
+            assert check(tid, inst).hypothesis(name)
 
 
 def test_check_all_classifies_the_map_once_per_instance(monkeypatch):
