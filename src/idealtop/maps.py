@@ -7,8 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BadPoint, DimensionMismatch
-from .space import (Topology, _is_open_unchecked, check_mask, check_point_count,
-                    full_mask)
+from .space import Topology, check_mask, check_point_count, full_mask
 from .star import _top_tables
 
 
@@ -166,13 +165,16 @@ def _continuous(img: tuple[int, ...], nb_dom: tuple[int, ...],
 
 
 def _open(img: tuple[int, ...], nb_dom: tuple[int, ...],
-          nb_cod: tuple[int, ...]) -> bool:
-    """Whether the map with image table ``img`` is open between the
-    topologies with minimal neighborhoods ``nb_dom`` and ``nb_cod``: iff
-    every ``f[N(x)]`` is open, since every open set is the union of the
-    minimal neighborhoods of its points and images preserve unions."""
+          cl_cod: tuple[int, ...]) -> bool:
+    """Whether the map with image table ``img`` is open from the topology
+    with minimal neighborhoods ``nb_dom`` to the one with closure table
+    ``cl_cod``: iff every ``f[N(x)]`` is open, since every open set is the
+    union of the minimal neighborhoods of its points and images preserve
+    unions; and a set is open iff its complement is its own closure."""
+    full = len(cl_cod) - 1
     for a in nb_dom:
-        if not _is_open_unchecked(nb_cod, img[a]):
+        closed = full ^ img[a]
+        if cl_cod[closed] != closed:
             return False
     return True
 
@@ -180,10 +182,11 @@ def _open(img: tuple[int, ...], nb_dom: tuple[int, ...],
 def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """Classify ``f`` between two topologies.
 
-    Continuity and openness are decided on minimal neighborhoods; the five
-    textbook characterizations of continuity are in
-    :func:`continuity_characterizations`.  Closed sets are the unions of
-    point closures, so ``f`` is closed iff every ``f[cl{x}]`` is closed.
+    Continuity is decided on minimal neighborhoods, and openness on their
+    images (see :func:`_open`); the five textbook characterizations of
+    continuity are in :func:`continuity_characterizations`.  Closed sets
+    are the unions of point closures, so ``f`` is closed iff every
+    ``f[cl{x}]`` is closed.
     """
     _check_dims(f, t_dom, t_cod)
     img = image_table(f)
@@ -191,7 +194,7 @@ def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     nb_x, nb_y = t_dom.min_nbhd, t_cod.min_nbhd
     closed_map = all(cl_y[c] == c
                      for c in (img[cl_x[1 << x]] for x in range(f.n_dom)))
-    return _PROFILES[_continuous(img, nb_x, nb_y), _open(img, nb_x, nb_y),
+    return _PROFILES[_continuous(img, nb_x, nb_y), _open(img, nb_x, cl_y),
                      closed_map, f.injective, f.surjective]
 
 

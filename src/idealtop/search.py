@@ -9,9 +9,10 @@ the overall minimum, so the result is identical for any worker count.
 
 Hypothesis evaluation is staged: map/topology-level hypotheses gate a whole
 ideal block before the carrier loops run, which is what makes the full
-13-theorem certification at three points a matter of seconds rather than
-hours.  Within a block, each (map, domain carrier) decides every codomain
-carrier at once, as a bitmask over them (see :func:`_scan_block`).
+13-theorem certification take well under a second at three points and about
+half a minute at four, on one core.  Within a block, each (map, domain
+carrier) decides every codomain carrier at once, as a bitmask over them
+(see :func:`_scan_block`).
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
@@ -26,14 +27,15 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (BadMask, BadSearchOption, CapExceeded,
                      UnknownHypothesisName)
 from .ideal import Ideal
 from .maps import FiniteMap, MapProfile, image_table, preimage_table
-from .space import Topology, full_mask
+from .space import Topology, check_point_count, full_mask
 from .star import IdealSpace, _side_tables
 from . import theorems as thm
 
@@ -51,6 +53,7 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
     Tables are grown point by point; a partial table is extended only while
     the transitivity constraints among the assigned rows hold, which prunes
     most of the candidate space.  Counts: 1, 4, 29, 355, 6942 for n = 1..5.
+    Refuses a point count outside 1..5 at the call.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CapExceeded(f"point count must be a positive integer, got {n!r}")
@@ -82,25 +85,23 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
                 yield from build(x + 1)
                 rows.pop()
 
-    yield from build(0)
+    return build(0)
 
 
 def enumerate_ideals(n: int) -> Iterator[Ideal]:
-    """All 2**n ideals on ``n`` points, ascending by carrier mask."""
-    for carrier in range(full_mask(n) + 1):
-        yield Ideal(n, carrier)
+    """All 2**n ideals on ``n`` points, ascending by carrier mask.  Refuses
+    a point count outside the cap at the call."""
+    check_point_count(n)
+    return (Ideal(n, carrier) for carrier in range(1 << n))
 
 
 def enumerate_maps(n_dom: int, n_cod: int) -> Iterator[FiniteMap]:
-    """All n_cod**n_dom total maps, lexicographic by value table."""
-    total = n_cod ** n_dom
-    values = [0] * n_dom
-    for k in range(total):
-        rest = k
-        for i in range(n_dom - 1, -1, -1):
-            values[i] = rest % n_cod
-            rest //= n_cod
-        yield FiniteMap(n_dom, n_cod, tuple(values))
+    """All n_cod**n_dom total maps, lexicographic by value table.  Refuses
+    a point count outside the cap at the call."""
+    check_point_count(n_dom)
+    check_point_count(n_cod)
+    return (FiniteMap(n_dom, n_cod, values)
+            for values in product(range(n_cod), repeat=n_dom))
 
 
 # ---------------------------------------------------------------------------
@@ -223,52 +224,33 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     return reps
 
 
-class _Points:
-    """The tables of one side size ``n``, shared by every workspace with a
-    side of that size: the topologies on ``n`` points, the side tables of
-    each with each carrier, the relabeling classes, and the carrier tables
-    of a codomain topology with a tuple of carriers
-    (:class:`theorems._Carriers`), built when a scan first reads them."""
-
-    def __init__(self, n: int) -> None:
-        self.tops = list(enumerate_topologies(n))
-        self.sides = [[_side_tables(t, m) for m in range(full_mask(n) + 1)]
-                      for t in self.tops]
-        self.orbits = _orbit_reps(self.tops)
-        self.cvs: dict[tuple[int, tuple[int, ...]], thm._Carriers] = {}
-
-    def carriers(self, iy: int, my_range: Sequence[int]) -> thm._Carriers:
-        """The sides of topology ``iy`` with the carriers ``my_range``, one
-        bit position each, with their tables."""
-        key = (iy, tuple(my_range))
-        cv = self.cvs.get(key)
-        if cv is None:
-            cv = self.cvs[key] = thm._Carriers([self.sides[iy][my]
-                                                for my in my_range])
-        return cv
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[Topology, ...],
+                              tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The topologies on ``n`` points in enumeration order, with their
+    relabeling classes (:func:`_orbit_reps`)."""
+    tops = tuple(enumerate_topologies(n))
+    return tops, tuple(_orbit_reps(tops))
 
 
-_POINTS: dict[int, _Points] = {}
-
-
-def _points(n: int) -> _Points:
-    if n not in _POINTS:
-        _POINTS[n] = _Points(n)
-    return _POINTS[n]
+@lru_cache(maxsize=None)
+def _carrier_tables(top: Topology, carriers: tuple[int, ...]
+                    ) -> thm._Carriers:
+    """The sides of ``top`` with the ``carriers``, one bit position each,
+    with their tables (:class:`theorems._Carriers`)."""
+    return thm._Carriers([_side_tables(top, m) for m in carriers])
 
 
 class _Workspace:
-    """The tables one size pair's scan reads: those of each side size
-    (:class:`_Points`), the maps with their image and preimage tables, and
-    the classification of every map between a pair of topologies, built
-    for that pair when a scan first reads it and kept only for a pair of
-    class representatives."""
+    """The tables one size pair's scan reads besides the side tables: the
+    topologies of each side size with their classes (:func:`_classes`), the
+    maps with their image and preimage tables, and the classification of
+    every map between a pair of topologies, built for that pair when a scan
+    first reads it and kept only for a pair of class representatives."""
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
-        x, y = _points(n_dom), _points(n_cod)
-        self.tops_x, self.sides_x, self.orbits_x = x.tops, x.sides, x.orbits
-        self.tops_y, self.sides_y, self.orbits_y = y.tops, y.sides, y.orbits
-        self.carriers = y.carriers
+        self.tops_x, self.orbits_x = _classes(n_dom)
+        self.tops_y, self.orbits_y = _classes(n_cod)
         self.maps = list(enumerate_maps(n_dom, n_cod))
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
@@ -288,14 +270,9 @@ class _Workspace:
         return profs
 
 
-_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
-
-
+@lru_cache(maxsize=None)
 def _workspace(n_dom: int, n_cod: int) -> _Workspace:
-    key = (n_dom, n_cod)
-    if key not in _WORKSPACES:
-        _WORKSPACES[key] = _Workspace(n_dom, n_cod)
-    return _WORKSPACES[key]
+    return _Workspace(n_dom, n_cod)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +311,9 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
     """
     if not mx_range or not my_range:
         return None, 0, 0
-    sides_x = ws.sides_x[ix]
-    cv = ws.carriers(iy, my_range)
+    tx = ws.tops_x[ix]
+    sides_x = [_side_tables(tx, mx) for mx in mx_range]
+    cv = _carrier_tables(ws.tops_y[iy], tuple(my_range))
     profs = ws.profiles(ix, iy)
     ctx = thm._Ctx(sides_x[0], cv.sides[0], ws.imgs[0], ws.pres[0], profs[0])
     per_map = len(mx_range) * len(my_range)
@@ -346,8 +324,8 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
         level1 += per_map
-        for mx in mx_range:
-            ctx.sx = sides_x[mx]
+        for mx, sx in zip(mx_range, sides_x):
+            ctx.sx = sx
             live = thm.gate_mask(gates, ctx, cv)
             if not live:
                 continue
@@ -408,12 +386,12 @@ def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
         yield from map(_run_row, tasks)
 
 
-def _carrier_range(count: int, carriers: Optional[tuple[int, ...]]
+def _carrier_range(n: int, carriers: Optional[tuple[int, ...]]
                    ) -> Sequence[int]:
-    """The carriers below ``count`` that a scan walks: all, or those given."""
+    """The carriers on ``n`` points that a scan walks: all, or those given."""
     if carriers is None:
-        return range(count)
-    return [c for c in carriers if c < count]
+        return range(1 << n)
+    return tuple(c for c in carriers if c < 1 << n)
 
 
 def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
@@ -453,8 +431,8 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
         ws = _workspace(n_dom, n_cod)
-        mx_range = _carrier_range(len(ws.sides_x[0]), carriers)
-        my_range = _carrier_range(len(ws.sides_y[0]), carriers)
+        mx_range = _carrier_range(n_dom, carriers)
+        my_range = _carrier_range(n_cod, carriers)
         instances += (len(ws.tops_x) * len(mx_range) * len(ws.tops_y)
                       * len(my_range) * len(ws.maps))
         if carriers is None:
@@ -595,8 +573,8 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         ws = _workspace(n_dom, n_cod)
         ix = rng.randrange(len(ws.tops_x))
         iy = rng.randrange(len(ws.tops_y))
-        mx = rng.randrange(len(ws.sides_x[0]))
-        my = rng.randrange(len(ws.sides_y[0]))
+        mx = rng.randrange(1 << n_dom)
+        my = rng.randrange(1 << n_cod)
         fi = rng.randrange(len(ws.maps))
         inst = _instance_from_key(ws, ix, mx, iy, my, fi)
         ctx = thm._ctx_for(inst)

@@ -46,7 +46,8 @@ side, ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every ``B``.  ``rel`` is
 ``(psi, codomain, >=)``, and the HOMEO exchanges are the ``==``
 declarations.  Continuity and openness between star, psi and base
 topologies are decided on minimal neighborhoods (``maps._continuous``,
-``maps._open``); a witness, the least failing open set, is searched for
+``maps._open``, which reads the target's closure table: ``cl_star`` for
+the star topology); a witness, the least failing open set, is searched for
 only once that has failed.  An equivalence is true when its members all
 hold or all fail.
 
@@ -259,7 +260,7 @@ def _h_psi_codomain_continuous(ctx):
 
 def _h_psi_domain_open(ctx):
     # openness out of the topology generated by domain psi-images of opens
-    return _open(ctx.img, ctx.sx.psi_nbhd, ctx.sy.tt.min_nbhd)
+    return _open(ctx.img, ctx.sx.psi_nbhd, ctx.sy.tt.cl)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,7 @@ def _tc2_c(ctx):
 def _open_star(ctx):
     # star-to-star openness; witness is the least unpushed star-open set
     sx, sy = ctx.sx, ctx.sy
-    if _open(ctx.img, sx.star_nbhd, sy.star_nbhd):
+    if _open(ctx.img, sx.star_nbhd, sy.cl_star):
         return None
     return _least_failing_open("domain", sx.star_nbhd, sy.star_nbhd, ctx.img)
 

@@ -15,6 +15,7 @@ from itertools import combinations
 from idealtop import theorems as thm
 from idealtop.maps import _PROFILES, _check_dims, image_table, preimage_table
 from idealtop.search import _violated
+from idealtop.star import _side_tables
 from idealtop.theorems import (Transport, Witness, _open_star, _samuels_iff,
                                _star_homeo, _tc2_c)
 
@@ -407,10 +408,10 @@ def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
     scalar gates and conclusion checkers: the least (m_x, m_y, f_index)
     violating candidate in one topology-pair block, over the given domain
     and codomain carriers, or None."""
-    sides_x = ws.sides_x[ix]
-    sides_y = ws.sides_y[iy]
+    tx, ty = ws.tops_x[ix], ws.tops_y[iy]
     profs = ws.profiles(ix, iy)
-    ctx = thm._Ctx(sides_x[0], sides_y[0], ws.imgs[0], ws.pres[0], profs[0])
+    ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), ws.imgs[0],
+                   ws.pres[0], profs[0])
     violated = _violated(mode)
     best = None
     for fi, prof in enumerate(profs):
@@ -418,9 +419,9 @@ def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
         for mx in mx_range:
-            ctx.sx = sides_x[mx]
+            ctx.sx = _side_tables(tx, mx)
             for my in my_range:
-                ctx.sy = sides_y[my]
+                ctx.sy = _side_tables(ty, my)
                 if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
                     continue
                 if violated(spec, ctx):

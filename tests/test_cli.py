@@ -91,6 +91,16 @@ def test_enumerate_ideals_over_point_cap_is_exit_2(capsys):
     assert f"needs n <= {MAX_POINTS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--what", "ideals", "--n", "-2"],
+                                  ["--what", "maps", "--n", "-1"],
+                                  ["--what", "maps", "--n", "2",
+                                   "--n-cod", "-1"]])
+def test_enumerate_negative_size_is_exit_2(capsys, argv):
+    assert cli.main(["enumerate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_identity_instance_passes(identity_instance_file, capsys):
     rc = cli.main(["check", identity_instance_file])
     out = capsys.readouterr().out

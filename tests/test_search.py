@@ -50,6 +50,18 @@ def test_map_enumeration_counts(dims, count):
     assert tables == sorted(tables)
 
 
+@pytest.mark.parametrize("call", [lambda: enumerate_topologies(-1),
+                                  lambda: enumerate_topologies(6),
+                                  lambda: enumerate_ideals(-2),
+                                  lambda: enumerate_ideals(0),
+                                  lambda: enumerate_maps(-1, -1),
+                                  lambda: enumerate_maps(2, 0),
+                                  lambda: enumerate_maps(0, 2)])
+def test_enumeration_refuses_a_bad_size_at_the_call(call):
+    with pytest.raises(CapExceeded):
+        call()
+
+
 def test_bounds_validation():
     with pytest.raises(CapExceeded):
         SearchBounds(9, 9)
@@ -206,8 +218,8 @@ def test_carriers_must_be_nonnegative_integer_masks(monkeypatch, carrier):
                             carriers=(carrier,))
 
 
-def test_carrier_scan_keeps_only_representative_blocks(monkeypatch):
-    monkeypatch.setattr(search, "_WORKSPACES", {})
+def test_carrier_scan_keeps_only_representative_blocks():
+    search._workspace.cache_clear()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
     ws = search._workspace(3, 3)
     # every one of the 29 * 29 blocks is classified, and only the 9 * 9
@@ -217,30 +229,45 @@ def test_carrier_scan_keeps_only_representative_blocks(monkeypatch):
                              for iy, _ in ws.orbits_y}
 
 
-def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers(
-        monkeypatch):
-    monkeypatch.setattr(search, "_WORKSPACES", {})
-    monkeypatch.setattr(search, "_POINTS", {})
-    built = []
-    carriers_cls = search.thm._Carriers
-    monkeypatch.setattr(search.thm, "_Carriers",
-                        lambda sides: built.append(sides)
-                        or carriers_cls(sides))
+def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers():
+    tables = search._carrier_tables
+    tables.cache_clear()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
     # one table per codomain topology on 1, 2 and 3 points, though the scan
     # walks (1 + 4 + 29) ** 2 = 1,156 labeled blocks
-    assert len(built) == 1 + 4 + 29
-    three = search._points(3)
-    labeled = {(iy, (0,)) for iy in range(29)}
-    assert set(three.cvs) == labeled
+    assert tables.cache_info().currsize == 1 + 4 + 29
     verify_exhaustive("TC1", SearchBounds(3, 3))
     # and one per codomain class with its carriers, whatever the domain size
-    assert len(built) == 34 + 1 + 3 + 9
-    assert set(three.cvs) - labeled == set(three.orbits)
-    iy, ys = three.orbits[-1]
-    assert all(search._workspace(n, 3).carriers(iy, ys) is three.cvs[iy, ys]
-               for n in (1, 2, 3))
-    assert search._workspace(3, 3).carriers(iy, [0]) is three.cvs[iy, (0,)]
+    assert tables.cache_info().currsize == 34 + 1 + 3 + 9
+    # a representative's tables with its own carriers and with the
+    # restricted scan's are both kept
+    tops, orbits = search._classes(3)
+    iy, ys = orbits[-1]
+    tables(tops[iy], ys)
+    tables(tops[iy], (0,))
+    assert tables.cache_info().currsize == 47
+
+
+def clear_table_caches():
+    for cached in (star._side_tables, star._top_tables, search._workspace,
+                   search._classes, search._carrier_tables):
+        cached.cache_clear()
+
+
+def test_unrestricted_scan_builds_the_sides_of_class_representatives_only():
+    clear_table_caches()
+    assert verify_exhaustive("TC1", SearchBounds(3, 3)).certified
+    # one side per representative (topology, carrier) of each side size,
+    # where every labeled pair, 2 + 16 + 232 = 250, would be
+    reps = sum(len(ms) for n in (1, 2, 3) for _, ms in search._classes(n)[1])
+    assert star._side_tables.cache_info().currsize == reps == 66
+
+
+def test_carrier_scan_builds_the_sides_of_its_carriers_only():
+    clear_table_caches()
+    verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
+    # one side per topology on 1, 2 and 3 points, with the empty carrier
+    assert star._side_tables.cache_info().currsize == 1 + 4 + 29
 
 
 def test_sampling_is_deterministic_and_noncertifying():
@@ -449,9 +476,9 @@ def blocks(ws, labeled):
     """(ix, mx_range, iy, my_range) for every block of a workspace: the
     representative ones, or every labeled one with all carriers."""
     if labeled:
-        every = range(len(ws.sides_x[0]))
+        every = range(1 << ws.tops_x[0].n)
         xs = [(ix, every) for ix in range(len(ws.tops_x))]
-        every = range(len(ws.sides_y[0]))
+        every = range(1 << ws.tops_y[0].n)
         ys = [(iy, every) for iy in range(len(ws.tops_y))]
     else:
         xs, ys = ws.orbits_x, ws.orbits_y
@@ -504,10 +531,8 @@ def test_certification_enumerates_no_open_set_and_no_carrier_one_by_one(
         monkeypatch):
     # from empty caches; a scalar checker could only decide another
     # codomain carrier of a block by switching the context's codomain side
-    monkeypatch.setattr(search, "_WORKSPACES", {})
-    monkeypatch.setattr(search, "_POINTS", {})
-    for cached in (star._side_tables, star._top_tables, space._opens_of):
-        cached.cache_clear()
+    clear_table_caches()
+    space._opens_of.cache_clear()
     enumerated = []
     opens = Topology.opens
     monkeypatch.setattr(Topology, "opens",

@@ -95,6 +95,15 @@ def test_star_topology_sandwich_and_membership(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_star_closure_is_the_closure_of_the_star_topology(n):
+    # what lets maps._open decide star openness on the star closure table
+    for s in spaces(n):
+        st = star_topology(s)
+        assert [star_closure(s, a) for a in range(1 << n)] == [
+            st.closure(a) for a in range(1 << n)], s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_star_topology_idempotent_at_fixed_ideal(n):
     for s in spaces(n):
         st = star_topology(s)

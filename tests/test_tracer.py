@@ -2,9 +2,12 @@
 each one back; the benchmark's correctness gate passes."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from idealtop import jsonio, search, space, star, theorems
 
@@ -48,3 +51,16 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("workload", ["certify", "instances"])
+def test_traced_benchmark_run_is_correct(workload):
+    # one traced pass: the tracer finds the names it patches, and the
+    # cache count finds the package's lru caches, the search's included
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stdout
