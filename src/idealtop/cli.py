@@ -150,6 +150,8 @@ def cmd_search(args) -> int:
     if args.carrier:
         carriers = tuple(_parse_subset(c, args.max_n) for c in args.carrier)
     progress = None if args.quiet else _progress_printer
+    if args.seed is not None and args.sample is None:
+        raise IdealTopError("--seed requires --sample")
     if args.sample is not None:
         if args.seed is None:
             raise IdealTopError("--sample requires an explicit --seed")

@@ -40,7 +40,8 @@ def _expect_list(doc: Any, where: str) -> list:
 def _point_list_to_mask(doc: Any, n: int, where: str) -> int:
     pts = _expect_list(doc, where)
     for i, p in enumerate(pts):
-        _expect_int(p, f"{where}[{i}]")
+        if not isinstance(p, int) or isinstance(p, bool):
+            _expect_int(p, f"{where}[{i}]")
     try:
         return mask_of(pts, n)
     except IdealTopError as exc:

@@ -190,7 +190,9 @@ class SearchReport:
 # per-size workspace, cached per process
 # ---------------------------------------------------------------------------
 
-def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
+def _orbit_reps(tops: list[Topology]
+                ) -> tuple[list[tuple[int, tuple[int, ...]]],
+                           list[tuple[int, tuple[int, ...]]]]:
     """The relabeling classes of the (topology, carrier) pairs on ``n``
     points, given every topology on ``n`` points in enumeration order.
 
@@ -198,6 +200,10 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     class under the permutations of the points, with the least carrier of
     each orbit of the automorphism group of ``tops[ix]`` on carriers.  So
     every representative pair is the least (index, carrier) of its orbit.
+    Also returns, for each index ``j``, the least index ``ix`` of its class
+    with one permutation ``p`` of the points that carries ``tops[ix]`` to
+    ``tops[j]`` (``N_j(p(x)) = p[N_ix(x)]``); ``p`` is the identity when
+    ``j == ix``.
     """
     n = tops[0].n
     index = {t.min_nbhd: i for i, t in enumerate(tops)}
@@ -205,10 +211,10 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     moved = [(p, [sum(1 << p[x] for x in range(n) if (a >> x) & 1)
                   for a in range(1 << n)])
              for p in permutations(range(n))]
-    seen: set[int] = set()
+    relabel: dict[int, tuple[int, tuple[int, ...]]] = {}
     reps = []
     for ix, t in enumerate(tops):
-        if ix in seen:
+        if ix in relabel:
             continue
         automorphisms = []
         for p, mv in moved:
@@ -216,21 +222,24 @@ def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
             for x, nb in enumerate(t.min_nbhd):
                 table[p[x]] = mv[nb]
             j = index[tuple(table)]
-            seen.add(j)
+            relabel.setdefault(j, (ix, p))
             if j == ix:
                 automorphisms.append(mv)
         carriers = {min(mv[c] for mv in automorphisms) for c in range(1 << n)}
         reps.append((ix, tuple(sorted(carriers))))
-    return reps
+    return reps, [relabel[j] for j in range(len(tops))]
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[Topology, ...],
+                              tuple[tuple[int, tuple[int, ...]], ...],
                               tuple[tuple[int, tuple[int, ...]], ...]]:
     """The topologies on ``n`` points in enumeration order, with their
-    relabeling classes (:func:`_orbit_reps`)."""
+    relabeling classes and the relabeling of each from its class
+    representative (:func:`_orbit_reps`)."""
     tops = tuple(enumerate_topologies(n))
-    return tops, tuple(_orbit_reps(tops))
+    reps, relabel = _orbit_reps(tops)
+    return tops, tuple(reps), tuple(relabel)
 
 
 @lru_cache(maxsize=None)
@@ -245,29 +254,53 @@ class _Workspace:
     """The tables one size pair's scan reads besides the side tables: the
     topologies of each side size with their classes (:func:`_classes`), the
     maps with their image and preimage tables, and the classification of
-    every map between a pair of topologies, built for that pair when a scan
-    first reads it and kept only for a pair of class representatives."""
+    every map between a pair of topologies.
+
+    Only pairs of class representatives are classified, each when a scan
+    first reads it, and kept.  Any other pair is a relabeling of one: if
+    ``p`` carries ``tops_x[rx]`` to ``tops_x[ix]`` and ``q`` carries
+    ``tops_y[ry]`` to ``tops_y[iy]``, both are homeomorphisms, so ``f`` is
+    continuous, open, closed, injective or surjective from ``ix`` to ``iy``
+    exactly when ``q^-1 . f . p`` is so from ``rx`` to ``ry``.  Its
+    profiles are read off the representative pair's through a permutation
+    of the map indices, kept per ``(p, q)``.
+    """
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
-        self.tops_x, self.orbits_x = _classes(n_dom)
-        self.tops_y, self.orbits_y = _classes(n_cod)
+        self.tops_x, self.orbits_x, self.relabel_x = _classes(n_dom)
+        self.tops_y, self.orbits_y, self.relabel_y = _classes(n_cod)
         self.maps = list(enumerate_maps(n_dom, n_cod))
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
         self.profs: dict[tuple[int, int], list[MapProfile]] = {}
-        self.kept = {(ix, iy) for ix, _ in self.orbits_x
-                     for iy, _ in self.orbits_y}
+        self.moves: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                         list[int]] = {}
 
     def profiles(self, ix: int, iy: int) -> list[MapProfile]:
         """Every map classified between domain topology ``ix`` and codomain
         topology ``iy``."""
-        profs = self.profs.get((ix, iy))
+        rx, p = self.relabel_x[ix]
+        ry, q = self.relabel_y[iy]
+        profs = self.profs.get((rx, ry))
         if profs is None:
-            tx, ty = self.tops_x[ix], self.tops_y[iy]
-            profs = [thm.classify(f, tx, ty) for f in self.maps]
-            if (ix, iy) in self.kept:
-                self.profs[ix, iy] = profs
-        return profs
+            tx, ty = self.tops_x[rx], self.tops_y[ry]
+            profs = self.profs[rx, ry] = [thm.classify(f, tx, ty)
+                                          for f in self.maps]
+        if ix == rx and iy == ry:
+            return profs
+        return [profs[g] for g in self._moved(p, q)]
+
+    def _moved(self, p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+        """The index of ``q^-1 . f . p`` for the index of every map ``f``."""
+        moved = self.moves.get((p, q))
+        if moved is None:
+            q_inv = sorted(range(len(q)), key=q.__getitem__)
+            # map indices are value tables read as numbers in base n_cod
+            digit = [len(q) ** (len(p) - 1 - x) for x in range(len(p))]
+            moved = self.moves[p, q] = [
+                sum(q_inv[f.values[px]] * d for px, d in zip(p, digit))
+                for f in self.maps]
+        return moved
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +337,10 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
     block, over the given domain and codomain carriers, or None; with the
     instances that pass the level-1 gate and both gates.
 
-    Each map passes the level-1 gate or not as a whole.  Each (map, m_x)
-    then decides every codomain carrier at once: the level-2 ``gates``
+    Each map passes the level-1 gate or not as a whole; the gate reads only
+    the map's profile and the codomain topology, so it is evaluated once
+    per distinct profile of the block.  Each (map, m_x) then decides every
+    codomain carrier at once: the level-2 ``gates``
     (:func:`theorems.level2_gates`) and the violations are masks over the
     positions of ``my_range``, whose lowest set bit is the least m_y.
     """
@@ -319,10 +354,18 @@ def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
     per_map = len(mx_range) * len(my_range)
     best = None
     level1 = level2 = 0
+    # keyed by identity, which is cheaper to hash than the flags: profiles
+    # are interned, so equal ones are one object
+    passes: dict[int, bool] = {}
     for fi, prof in enumerate(profs):
-        ctx.img, ctx.pre, ctx.prof = ws.imgs[fi], ws.pres[fi], prof
-        if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
+        ctx.prof = prof
+        ok = passes.get(id(prof))
+        if ok is None:
+            ok = passes[id(prof)] = thm.hypotheses_pass(spec, ctx, dropped,
+                                                        level=1)
+        if not ok:
             continue
+        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
         level1 += per_map
         for mx, sx in zip(mx_range, sides_x):
             ctx.sx = sx

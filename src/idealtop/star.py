@@ -67,15 +67,26 @@ class IdealSpace:
 # ---------------------------------------------------------------------------
 
 class _TopT:
-    """Per-topology tables: closure of every subset, separation flags."""
+    """Per-topology tables: closure of every subset, separation flags.
+
+    Closure is additive, and the closure of ``{x}`` is the set of points
+    whose minimal neighborhood holds ``x``; so the table is built by
+    ``cl[a] = cl[a - {x}] | cl{x}`` with ``x`` the least point of ``a``.
+    """
 
     __slots__ = ("n", "full", "min_nbhd", "cl", "regular", "hausdorff")
 
     def __init__(self, top: Topology) -> None:
-        self.n = top.n
+        self.n = n = top.n
         self.full = top.full
         self.min_nbhd = top.min_nbhd
-        self.cl = tuple(top.closure(a) for a in range(self.full + 1))
+        up = [sum(1 << y for y, nb in enumerate(top.min_nbhd) if nb >> x & 1)
+              for x in range(n)]
+        cl = [0] * (self.full + 1)
+        for a in range(1, self.full + 1):
+            low = a & -a
+            cl[a] = cl[a ^ low] | up[low.bit_length() - 1]
+        self.cl = tuple(cl)
         prof = separation_profile(top)
         self.regular = prof.regular
         self.hausdorff = prof.hausdorff

@@ -206,9 +206,10 @@ def _ctx_for(inst: Instance) -> _Ctx:
 # ---------------------------------------------------------------------------
 # hypothesis predicates
 #
-# level 1 predicates read only the topologies and the map; level 2 also read
-# the carriers; level 0 ones are true on every finite carrier-ideal space.
-# The search engine gates whole ideal blocks on level 1.
+# level 1 predicates read only the map's profile and the codomain topology;
+# level 2 also read the carriers and the map's tables; level 0 ones are true
+# on every finite carrier-ideal space.  The search engine gates whole ideal
+# blocks on level 1, once per distinct profile in a block.
 # ---------------------------------------------------------------------------
 
 def _h_continuous(ctx): return ctx.prof.continuous
@@ -438,7 +439,7 @@ def _samuels_iff(ctx):
 @dataclass(frozen=True)
 class HypSpec:
     name: str
-    level: int  # 1: topologies+map only; 2: needs the carriers; 0: constant
+    level: int  # 1: profile+codomain topology; 2: carriers too; 0: constant
     fn: Callable[[_Ctx], bool]
 
 
@@ -637,11 +638,11 @@ def _select_witness(results) -> Optional[Witness]:
         side_rank = 0 if w.side == "domain" else 1
         kind_rank = 0 if w.kind == "subset" else 1
         value = w.mask if w.kind == "subset" else w.point
-        candidates.append(((kind_rank, side_rank, value, idx),
-                           dataclasses.replace(w, conclusion=c.name)))
+        candidates.append(((kind_rank, side_rank, value, idx), c.name, w))
     if not candidates:
         return None
-    return min(candidates, key=lambda kv: kv[0])[1]
+    _, name, w = min(candidates, key=lambda kv: kv[0])
+    return dataclasses.replace(w, conclusion=name)
 
 
 def check(theorem_id: str, inst: Instance) -> Verdict:

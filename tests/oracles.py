@@ -409,7 +409,7 @@ def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
     violating candidate in one topology-pair block, over the given domain
     and codomain carriers, or None."""
     tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-    profs = ws.profiles(ix, iy)
+    profs = [thm.classify(f, tx, ty) for f in ws.maps]
     ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), ws.imgs[0],
                    ws.pres[0], profs[0])
     violated = _violated(mode)

@@ -180,6 +180,7 @@ def test_search_sample_without_drop_checks_every_conclusion(monkeypatch):
     ["--sample", "-5", "--seed", "1"],
     ["--workers", "-1"],
     ["--sample", "10", "--seed", "1", "--carrier", "0"],
+    ["--seed", "3"],
 ])
 def test_search_refuses_bad_options(argv, capsys):
     assert cli.main(["search", "TC1", "--max-n", "1", "--quiet"] + argv) == 2

@@ -1,6 +1,9 @@
 """Enumeration, certification, and counterexample mining."""
 
 import dataclasses
+import hashlib
+import json
+import random
 from itertools import permutations
 
 import pytest
@@ -222,11 +225,87 @@ def test_carrier_scan_keeps_only_representative_blocks():
     search._workspace.cache_clear()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
     ws = search._workspace(3, 3)
-    # every one of the 29 * 29 blocks is classified, and only the 9 * 9
-    # blocks of class representatives, all an unrestricted scan reads, stay
+    # every one of the 29 * 29 blocks is read, and only the 9 * 9 blocks of
+    # class representatives, all an unrestricted scan reads, are classified
     assert len(ws.profs) == 81
     assert set(ws.profs) == {(ix, iy) for ix, _ in ws.orbits_x
                              for iy, _ in ws.orbits_y}
+
+
+def relabeled_profiles_match_classify(ws, blocks):
+    for ix, iy in blocks:
+        tx, ty = ws.tops_x[ix], ws.tops_y[iy]
+        assert ws.profiles(ix, iy) == [search.thm.classify(f, tx, ty)
+                                       for f in ws.maps], (ix, iy)
+
+
+@pytest.mark.parametrize("pair", SearchBounds(3, 3).size_pairs())
+def test_relabeled_profiles_are_the_classification_of_every_block(pair):
+    search._workspace.cache_clear()
+    ws = search._workspace(*pair)
+    relabeled_profiles_match_classify(
+        ws, [(ix, iy) for ix in range(len(ws.tops_x))
+             for iy in range(len(ws.tops_y))])
+
+
+def test_relabeled_profiles_match_classify_on_sampled_four_point_blocks():
+    search._workspace.cache_clear()
+    ws = search._workspace(4, 4)
+    rng = random.Random(14)
+    relabeled_profiles_match_classify(
+        ws, [(rng.randrange(355), rng.randrange(355)) for _ in range(40)])
+
+
+def test_carrier_scan_classifies_representative_blocks_only(monkeypatch):
+    clear_table_caches()
+    calls = []
+    classify = search.thm.classify
+    monkeypatch.setattr(search.thm, "classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
+    # one classification per map of each pair of class representatives
+    # (1, 3, 9 classes for 1, 2, 3 points; n_cod ** n_dom maps), where
+    # classifying every labeled block made 24,872
+    assert len(calls) == sum(
+        (1, 3, 9)[nx - 1] * (1, 3, 9)[ny - 1] * ny ** nx
+        for nx, ny in SearchBounds(3, 3).size_pairs()) == 2_728
+
+
+# SHA-256 prefixes of the report JSON, less ``elapsed_seconds``, of the
+# labeled scans with carriers (0, 1, 5) at (2, 3): verification, and a
+# search with the first hypothesis dropped, as recorded before labeled
+# blocks were relabeled from their representatives
+LABELED_REPORTS = {
+    "TC1": ("fed3ee824cb0", "f030e40b38ea"),
+    "TC2": ("4cdf5c79e5d0", "99c24f198887"),
+    "CONTPSI": ("b9c91c76620f", "f446e5c46511"),
+    "TO1": ("072d09af714f", "397d29ac8813"),
+    "OPEN_STAR": ("c39d360f37ce", "2df868838b12"),
+    "OPENBIJ": ("49de351522a2", "945850cda628"),
+    "CLOSEDSUR": ("9bff784f9ce2", "88d327ffa355"),
+    "HOMEO_COR": ("736e49286d72", "841c575687db"),
+    "HOMEO_HR": ("4306b745a1db", "527a83db68eb"),
+    "SAMUELS": ("253eec0813e0", "70597800e058"),
+    "JHCOMP": ("3e8d96bd819b", "61aca96b5350"),
+    "HR34": ("43882d641334", "a7b359fa70f6"),
+    "HR35": ("ac098c37058a", "81e06d32d69f"),
+}
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+def test_labeled_carrier_scans_keep_their_reports(tid):
+    def digest(report):
+        doc = report.to_json()
+        del doc["elapsed_seconds"]
+        return hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
+
+    bounds, carriers = SearchBounds(2, 3), (0, 1, 5)
+    drop = THEOREMS[tid].hypothesis_names[:1]
+    assert (digest(verify_exhaustive(tid, bounds, carriers=carriers)),
+            digest(find_counterexample(tid, drop, bounds,
+                                       carriers=carriers))
+            ) == LABELED_REPORTS[tid]
 
 
 def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers():
@@ -241,7 +320,7 @@ def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers():
     assert tables.cache_info().currsize == 34 + 1 + 3 + 9
     # a representative's tables with its own carriers and with the
     # restricted scan's are both kept
-    tops, orbits = search._classes(3)
+    tops, orbits, _ = search._classes(3)
     iy, ys = orbits[-1]
     tables(tops[iy], ys)
     tables(tops[iy], (0,))
@@ -333,7 +412,7 @@ def test_every_registered_theorem_certifies_at_two_points():
                          [(1, 1, 2), (2, 3, 10), (3, 9, 54), (4, 33, 359)])
 def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
     tops = list(enumerate_topologies(n))
-    reps = _orbit_reps(tops)
+    reps, relabel = _orbit_reps(tops)
     assert len(reps) == classes
     assert sum(len(carriers) for _, carriers in reps) == pairs
     # by brute force: the (index, carrier) pairs least in their orbit under
@@ -342,6 +421,16 @@ def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
 
     def moved(mask, p):
         return sum(1 << p[x] for x in range(n) if (mask >> x) & 1)
+
+    # each topology is its class representative moved by its permutation
+    rep_indices = {ix for ix, _ in reps}
+    for j, (ix, p) in enumerate(relabel):
+        assert ix in rep_indices and ix <= j
+        assert p == tuple(range(n)) or ix < j
+        table = [0] * n
+        for x, nb in enumerate(tops[ix].min_nbhd):
+            table[p[x]] = moved(nb, p)
+        assert tuple(table) == tops[j].min_nbhd
 
     least = set()
     for ix, t in enumerate(tops):
@@ -517,12 +606,15 @@ def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
                         or call(self, ctx))
     r = verify_exhaustive("TC1", SearchBounds(3, 3))
     assert r.certified
-    # one level-1 gate per map and representative block (topology classes
-    # 1, 3, 9 for 1, 2, 3 points; maps n_cod ** n_dom), and no per-instance
+    # one level-1 gate per distinct map profile of each representative
+    # block: 663, where one per map made 2,728; and no per-instance
     # level-2 gate or declaration
-    assert len(levels) == sum(
-        (1, 3, 9)[nx - 1] * (1, 3, 9)[ny - 1] * ny ** nx
-        for nx, ny in SearchBounds(3, 3).size_pairs()) == 2_728
+    distinct = 0
+    for pair in SearchBounds(3, 3).size_pairs():
+        ws = search._workspace(*pair)
+        distinct += sum(len(set(ws.profiles(ix, iy)))
+                        for ix, _ in ws.orbits_x for iy, _ in ws.orbits_y)
+    assert len(levels) == distinct == 663
     assert set(levels) == {1}
     assert transports == []
 

@@ -1,5 +1,7 @@
 """Topology representation, construction, and query operations."""
 
+import re
+
 import pytest
 
 from hypothesis import given, settings
@@ -184,6 +186,10 @@ def test_topology_json_omitting_trivial_opens():
 def test_topology_json_position_annotated_errors():
     with pytest.raises(InputFileError, match=r"topology\.opens\[1\]"):
         parse_topology({"n": 2, "opens": [[1], [5]]})
+    for bad in ("1", True):
+        with pytest.raises(InputFileError, match=re.escape(
+                f"topology.opens[0][1]: expected an integer, got {bad!r}")):
+            parse_topology({"n": 2, "opens": [[0, bad]]})
     with pytest.raises(InputFileError, match="missing required key 'n'"):
         parse_topology({"opens": []})
 

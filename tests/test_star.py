@@ -11,6 +11,7 @@ from idealtop import (Ideal, IdealSpace, Topology, check_local_function_laws,
                       local_function_by_definition, psi,
                       psi_topology, sierpinski, star_closure, star_topology)
 from idealtop.errors import DimensionMismatch
+from idealtop.star import _TopT
 from idealtop.search import enumerate_ideals, enumerate_topologies
 
 
@@ -23,6 +24,17 @@ def spaces(n):
 def test_space_dimension_check():
     with pytest.raises(DimensionMismatch):
         IdealSpace(sierpinski(), Ideal(3, 0))
+
+
+def test_closure_table_is_the_closure_of_every_subset():
+    # the union recurrence of _TopT against Topology.closure, on every
+    # topology with at most 4 points and on 16-point discrete and chain
+    # spaces
+    tops = [t for n in (1, 2, 3, 4) for t in enumerate_topologies(n)]
+    tops += [discrete(16), Topology(16, tuple((2 << x) - 1 for x in range(16)))]
+    for top in tops:
+        assert _TopT(top).cl == tuple(top.closure(a)
+                                      for a in range(top.full + 1)), top
 
 
 def test_local_function_examples(sierp_space):

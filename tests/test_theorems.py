@@ -1,6 +1,7 @@
 """Verdicts, the checker registry, and the counterexample constructions."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -376,3 +377,20 @@ def test_every_level2_hypothesis_has_a_mask_form():
         for h in spec.hyps:
             assert (h.fn in thm._GATE_MASKS) == (h.level == 2), (
                 spec.theorem_id, h.name)
+
+
+def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
+    # the search evaluates the level-1 gate once per distinct profile of a
+    # block, so no level-1 predicate may read the map's tables, the domain
+    # or the carriers; a context holding nothing else shows that
+    for top in enumerate_topologies(3):
+        tt = _side_tables(top, 0).tt
+        for prof in thm.maps_mod._PROFILES.values():
+            bare = thm._Ctx(None, SimpleNamespace(tt=tt), None, None, prof)
+            full = thm._Ctx(_side_tables(top, 0), _side_tables(top, 5),
+                            (), (), prof)
+            for spec in thm.THEOREMS.values():
+                for h in spec.hyps:
+                    if h.level == 1:
+                        assert h.fn(bare) == h.fn(full), (spec.theorem_id,
+                                                          h.name)
