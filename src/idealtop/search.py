@@ -3,16 +3,18 @@
 Instances are enumerated in a fixed canonical order: size pairs
 (n_dom, n_cod) ascending lexicographically, then domain topology, domain
 ideal carrier, codomain topology, codomain carrier, map (value table
-lexicographic).  Work is partitioned into topology-pair blocks; each block
-reports its least candidate by the canonical key, and the aggregator takes
-the overall minimum, so the result is identical for any worker count.
+lexicographic).  Work is partitioned into rows, one domain topology with
+its carriers each, against every codomain (topology, carrier) column; a
+row reports the least candidate of each topology-pair block by the
+canonical key, and the aggregator takes the overall minimum, so the result
+is identical for any worker count.
 
-Hypothesis evaluation is staged: map/topology-level hypotheses gate a whole
-ideal block before the carrier loops run, which is what makes the full
-13-theorem certification take well under a second at three points and about
-half a minute at four, on one core.  Within a block, each (map, domain
-carrier) decides every codomain carrier at once, as a bitmask over them
-(see :func:`_scan_block`).
+Hypothesis evaluation is staged: map/topology-level hypotheses gate each
+map for a whole block before the carrier-level gates run, and each
+(map, domain carrier) then decides every column of its row at once, as a
+bitmask over them (see :func:`_run_row`).  That makes the full
+13-theorem certification take about a tenth of a second at three points
+and under ten seconds at four, on one core.
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
@@ -25,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,7 +39,7 @@ from .errors import (BadMask, BadSearchOption, CapExceeded,
 from .ideal import Ideal
 from .maps import FiniteMap, MapProfile, image_table, preimage_table
 from .space import Topology, check_point_count, full_mask
-from .star import IdealSpace, _side_tables
+from .star import IdealSpace, _Side, _side_tables
 from . import theorems as thm
 
 TOPOLOGY_ENUM_CAP = 5  # labeled topologies on 6+ points are out of reach here
@@ -242,12 +245,27 @@ def _classes(n: int) -> tuple[tuple[Topology, ...],
     return tops, tuple(reps), tuple(relabel)
 
 
+def _blocks(n: int, carriers: Optional[tuple[int, ...]]
+            ) -> Sequence[tuple[int, Sequence[int]]]:
+    """The codomain blocks of a scan row on ``n`` points, as (topology
+    index, carriers) pairs: each class representative with its carriers
+    (:func:`_classes`), or, with ``carriers``, every topology with those of
+    them that fit, and none when none fits."""
+    tops, orbits, _ = _classes(n)
+    if carriers is None:
+        return orbits
+    ys = _carrier_range(n, carriers)
+    return [(iy, ys) for iy in range(len(tops))] if ys else []
+
+
 @lru_cache(maxsize=None)
-def _carrier_tables(top: Topology, carriers: tuple[int, ...]
-                    ) -> thm._Carriers:
-    """The sides of ``top`` with the ``carriers``, one bit position each,
+def _columns(n: int, carriers: Optional[tuple[int, ...]]) -> thm._Carriers:
+    """The columns of every scan row on ``n`` codomain points, one bit
+    position per (topology, carrier) of :func:`_blocks`, block by block,
     with their tables (:class:`theorems._Carriers`)."""
-    return thm._Carriers([_side_tables(top, m) for m in carriers])
+    tops = _classes(n)[0]
+    return thm._Carriers(n, [[_side_tables(tops[iy], my) for my in ys]
+                             for iy, ys in _blocks(n, carriers)])
 
 
 class _Workspace:
@@ -329,98 +347,106 @@ def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
             else thm.designated_false)
 
 
-def _scan_block(spec: thm.TheoremSpec, dropped: frozenset[str],
-                gates: tuple, mode: str, ws: _Workspace, ix: int, iy: int,
-                mx_range: Sequence[int], my_range: Sequence[int]
-                ) -> tuple[Optional[tuple], int, int]:
-    """Least (m_x, m_y, f_index) violating candidate in one topology-pair
-    block, over the given domain and codomain carriers, or None; with the
-    instances that pass the level-1 gate and both gates.
-
-    Each map passes the level-1 gate or not as a whole; the gate reads only
-    the map's profile and the codomain topology, so it is evaluated once
-    per distinct profile of the block.  Each (map, m_x) then decides every
-    codomain carrier at once: the level-2 ``gates``
-    (:func:`theorems.level2_gates`) and the violations are masks over the
-    positions of ``my_range``, whose lowest set bit is the least m_y.
-    """
-    if not mx_range or not my_range:
-        return None, 0, 0
-    tx = ws.tops_x[ix]
-    sides_x = [_side_tables(tx, mx) for mx in mx_range]
-    cv = _carrier_tables(ws.tops_y[iy], tuple(my_range))
-    profs = ws.profiles(ix, iy)
-    ctx = thm._Ctx(sides_x[0], cv.sides[0], ws.imgs[0], ws.pres[0], profs[0])
-    per_map = len(mx_range) * len(my_range)
-    best = None
-    level1 = level2 = 0
-    # keyed by identity, which is cheaper to hash than the flags: profiles
-    # are interned, so equal ones are one object
-    passes: dict[int, bool] = {}
-    for fi, prof in enumerate(profs):
-        ctx.prof = prof
-        ok = passes.get(id(prof))
-        if ok is None:
-            ok = passes[id(prof)] = thm.hypotheses_pass(spec, ctx, dropped,
-                                                        level=1)
-        if not ok:
-            continue
-        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
-        level1 += per_map
-        for mx, sx in zip(mx_range, sides_x):
-            ctx.sx = sx
-            live = thm.gate_mask(gates, ctx, cv)
-            if not live:
-                continue
-            level2 += live.bit_count()
-            # a later map beats the best only with a smaller (m_x, m_y)
-            if best is not None and mx > best[0]:
-                continue
-            bad = thm.violations_mask(spec, mode, ctx, cv, live)
-            if bad:
-                my = my_range[(bad & -bad).bit_length() - 1]
-                if best is None or (mx, my) < best[:2]:
-                    best = (mx, my, fi)
-    return best, level1, level2
+def _level1(spec: thm.TheoremSpec, dropped: frozenset[str], ws: _Workspace,
+            ix: int, blocks: Sequence[tuple[int, Sequence[int]]],
+            cv: thm._Carriers, sx: _Side) -> list[int]:
+    """For each map, the positions of the blocks whose level-1 gate it
+    passes.  The gate reads only the map's profile and the codomain
+    topology, so it is evaluated once per distinct profile of a block, in a
+    context of the block's own."""
+    passed = [0] * len(ws.maps)
+    for (iy, _), start, span in zip(blocks, cv.starts, cv.spans):
+        profs = ws.profiles(ix, iy)
+        ctx = thm._Ctx(sx, cv.sides[start], None, None, None)
+        # keyed by identity, which is cheaper to hash than the flags:
+        # profiles are interned, so equal ones are one object
+        verdict = {id(prof): prof for prof in profs}
+        for key, prof in verdict.items():
+            ctx.prof = prof
+            verdict[key] = thm.hypotheses_pass(spec, ctx, dropped, level=1)
+        for fi, prof in enumerate(profs):
+            if verdict[id(prof)]:
+                passed[fi] |= span
+    return passed
 
 
-# one row of blocks: the domain topology, its carriers, and the codomain
-# topologies with theirs
-_Row = tuple[int, Sequence[int], list[tuple[int, Sequence[int]]]]
+# one row: the domain topology with its carriers
+_Row = tuple[int, Sequence[int]]
 
 
 def _run_row(args) -> tuple[list[tuple], int, int]:
-    """Worker task: scan the blocks of one domain-topology row.
+    """Worker task: scan one row against every column of :func:`_columns`.
 
     Returns the least candidate of each block that has one, as
-    [(iy, mx, my, fi), ...], with the row's instances that pass the
-    level-1 gate and both gates.  Workspaces are built lazily per process,
-    so the function is safe under any multiprocessing start method.
+    [(iy, mx, my, fi), ...] in block order, with the row's instances that
+    pass the level-1 gate and both gates.  Each map starts from the
+    positions of the blocks whose level-1 gate it passes
+    (:func:`_level1`); each (map, m_x) then decides every column at once:
+    the level-2 gates (:func:`theorems.level2_gates`) and the violations
+    are masks over the positions, and within a block the lowest set bit of
+    the violation mask is the least m_y.  A block's positions leave the violation masks, never the gates,
+    once its candidate has a smaller m_x, since no later map can beat it
+    there.  Workspaces and columns are built lazily per process, so the
+    function is safe under any multiprocessing start method.
     """
-    theorem_id, dropped, mode, n_dom, n_cod, (ix, mx_range, cols) = args
+    theorem_id, dropped, mode, n_dom, n_cod, carriers, (ix, mx_range) = args
+    blocks = _blocks(n_cod, carriers)
+    if not mx_range or not blocks:
+        return [], 0, 0
     spec = thm.spec_for(theorem_id)
-    gates = thm.level2_gates(spec, dropped)
     ws = _workspace(n_dom, n_cod)
-    hits = []
+    cv = _columns(n_cod, carriers)
+    sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
+    passed = _level1(spec, dropped, ws, ix, blocks, cv, sides_x[0])
+    gates = thm.level2_gates(spec, dropped)
+    ctx = thm._Ctx(sides_x[0], None, None, None, None)
+    # each block's least candidate as (index of m_x, position, fi), and
+    # for each index of m_x the positions of the blocks whose candidate
+    # has a smaller one
+    best: dict[int, tuple[int, int, int]] = {}
+    settled = [0] * len(mx_range)
     level1 = level2 = 0
-    for iy, my_range in cols:
-        best, l1, l2 = _scan_block(spec, dropped, gates, mode, ws, ix, iy,
-                                   mx_range, my_range)
-        level1 += l1
-        level2 += l2
-        if best is not None:
-            hits.append((iy, *best))
+    for fi, passing in enumerate(passed):
+        if not passing:
+            continue
+        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
+        level1 += passing.bit_count() * len(mx_range)
+        for j, sx in enumerate(sides_x):
+            ctx.sx = sx
+            live = thm.gate_mask(gates, ctx, cv, passing)
+            if not live:
+                continue
+            level2 += live.bit_count()
+            live &= ~settled[j]
+            if not live:
+                continue
+            bad = thm.violations_mask(spec, mode, ctx, cv, live)
+            while bad:
+                pos = (bad & -bad).bit_length() - 1
+                k = bisect_right(cv.starts, pos) - 1
+                bad &= ~cv.spans[k]
+                if k not in best or (j, pos) < best[k][:2]:
+                    best[k] = (j, pos, fi)
+                    for later in range(j + 1, len(settled)):
+                        settled[later] |= cv.spans[k]
+    hits = []
+    for k in sorted(best):
+        j, pos, fi = best[k]
+        iy, ys = blocks[k]
+        hits.append((iy, mx_range[j], ys[pos - cv.starts[k]], fi))
     return hits, level1, level2
 
 
 def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
-               n_dom: int, n_cod: int, rows: list[_Row],
-               workers: int) -> Iterator[tuple[list[tuple], int, int]]:
+               n_dom: int, n_cod: int, carriers: Optional[tuple[int, ...]],
+               rows: Sequence[_Row], workers: int
+               ) -> Iterator[tuple[list[tuple], int, int]]:
     """Scan the rows, in a process pool when more than one worker is asked
     for, and yield the result of each row (see :func:`_run_row`) in row
     order as the rows finish.  The pool has at most one process per row
     and per CPU."""
-    tasks = [(theorem_id, dropped, mode, n_dom, n_cod, row) for row in rows]
+    tasks = [(theorem_id, dropped, mode, n_dom, n_cod, carriers, row)
+             for row in rows]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -478,14 +504,13 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
         my_range = _carrier_range(n_cod, carriers)
         instances += (len(ws.tops_x) * len(mx_range) * len(ws.tops_y)
                       * len(my_range) * len(ws.maps))
-        if carriers is None:
-            rows = [(ix, xs, ws.orbits_y) for ix, xs in ws.orbits_x]
-        else:
-            cols = [(iy, my_range) for iy in range(len(ws.tops_y))]
-            rows = [(ix, mx_range, cols) for ix in range(len(ws.tops_x))]
-        for (ix, xs, cols), (hits, l1, l2) in zip(rows, _scan_rows(
-                theorem_id, dropped, mode, n_dom, n_cod, rows, workers or 1)):
-            scanned += len(ws.maps) * len(xs) * sum(len(ys) for _, ys in cols)
+        rows = (ws.orbits_x if carriers is None
+                else [(ix, mx_range) for ix in range(len(ws.tops_x))])
+        columns = sum(len(ys) for _, ys in _blocks(n_cod, carriers))
+        for (ix, xs), (hits, l1, l2) in zip(rows, _scan_rows(
+                theorem_id, dropped, mode, n_dom, n_cod, carriers, rows,
+                workers or 1)):
+            scanned += len(ws.maps) * len(xs) * columns
             level1 += l1
             level2 += l2
             hit_blocks += len(hits)
@@ -504,8 +529,14 @@ def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
                 progress: Optional[ProgressFn],
                 carriers: Optional[tuple[int, ...]]) -> SearchReport:
     """Run :func:`_search` over the sorted distinct ``carriers`` and report
-    its least instance.  Refuses an empty tuple of carriers, and a carrier
-    with a point beyond the larger bound, which no size pair could scan."""
+    its least instance.  Refuses ``workers`` other than None or an integer
+    of at least 1, an empty tuple of carriers, and a carrier with a point
+    beyond the larger bound, which no size pair could scan."""
+    if workers is not None and (not isinstance(workers, int)
+                                or isinstance(workers, bool) or workers < 1):
+        raise BadSearchOption(
+            f"workers must be None or an integer of at least 1, "
+            f"got {workers!r}")
     if carriers is not None:
         if not carriers:
             raise BadMask("carriers must name at least one mask")

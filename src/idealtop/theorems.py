@@ -51,12 +51,14 @@ the star topology); a witness, the least failing open set, is searched for
 only once that has failed.  An equivalence is true when its members all
 hold or all fail.
 
-The search decides a block's codomain carriers at once, as bitmasks over
-them (:class:`_Carriers`).  Each declaration's :meth:`Transport.mask` ANDs
-per-carrier table entries over the same subsets its scalar evaluator
-walks; every other conclusion and every level-2 hypothesis has a mask form
-too (``_CONCL_MASKS``, ``_GATE_MASKS``).  ``check`` and sampling use the
-scalar forms, which the tests pin the masks to.
+The search decides every codomain (topology, carrier) column of a scan row
+at once, as bitmasks over them (:class:`_Carriers`).  Each declaration's
+:meth:`Transport.mask` ANDs per-column table entries over the same subsets
+its scalar evaluator walks; every other conclusion and every level-2
+hypothesis has a mask form too (``_CONCL_MASKS``, ``_GATE_MASKS``), which
+reads the codomain, its topology included, from the column tables only.
+``check`` and sampling use the scalar forms, which the tests pin the masks
+to.
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ class Verdict:
 class _Ctx:
     """Everything a checker reads: domain side, codomain side, the map's
     image and preimage tables, and its classification between the two base
-    topologies."""
+    topologies.  The mask forms, which take the codomain from the column
+    tables, read neither the codomain side nor the classification, so the
+    search's kernel context holds None for both."""
 
     __slots__ = ("sx", "sy", "img", "pre", "prof")
 
@@ -339,32 +343,50 @@ _TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
           "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
 
 
-class _Carriers(dict):
-    """The codomain sides of one search block, one bit position each, so
-    that a mask over the positions decides every codomain carrier at once.
+# tables of the column's topology rather than of its side
+_TOPOLOGY_TABLES = ("min_nbhd", "cl")
 
+
+class _Carriers(dict):
+    """The codomain columns of one scan row, every (topology, carrier) on
+    ``n`` points it pairs the domain with, one bit position each, so that a
+    mask over the positions decides every column at once.
+
+    The columns come in blocks of consecutive positions, one per codomain
+    topology, with its carriers ascending: block ``k`` starts at position
+    ``starts[k]`` and holds the positions of ``spans[k]``.
     ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
-    mask of the positions whose side has ``u <= op(b)`` ("sub"),
+    mask of the positions whose column has ``u <= op(b)`` ("sub"),
     ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
-    ``op(b)`` ("disj").  ``self["carrier", test][u]`` tests ``u`` against
-    the carrier itself.  For a per-point table ``op``, such as "psi_nbhd",
-    ``b`` is a point.  Each table is built on first read.
+    ``op(b)`` ("disj").  ``op`` names a table of the column's side or, for
+    "min_nbhd" and "cl" (the closure), of its topology.
+    ``self["carrier", test][u]`` tests ``u`` against the carrier itself.
+    For a per-point table ``op``, such as "psi_nbhd", ``b`` is a point.
+    Each table is built on first read.
     """
 
-    __slots__ = ("sides", "n", "full")
+    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans")
 
-    def __init__(self, sides: list[_Side]) -> None:
+    def __init__(self, n: int, blocks: list[list[_Side]]) -> None:
         super().__init__()
-        self.sides = sides
-        self.n = sides[0].n
-        self.full = (1 << len(sides)) - 1
+        self.sides = [s for block in blocks for s in block]
+        self.n = n
+        self.full = (1 << len(self.sides)) - 1
+        self.full_y = (1 << n) - 1
+        self.starts, self.spans = [], []
+        at = 0
+        for block in blocks:
+            self.starts.append(at)
+            self.spans.append(((1 << len(block)) - 1) << at)
+            at += len(block)
 
     def __missing__(self, key: tuple[str, str]) -> tuple:
         op, test = key
         if op == "carrier":
             tab = self._row([s.carrier for s in self.sides], _TESTS[test])
         else:
-            ops = [getattr(s, op) for s in self.sides]
+            ops = [getattr(s.tt if op in _TOPOLOGY_TABLES else s, op)
+                   for s in self.sides]
             tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
                         for b in range(len(ops[0])))
         self[key] = tab
@@ -689,12 +711,12 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
                 if c.name == spec.designated) is not None
 
 
-# the same decisions as masks over a block's codomain carriers (see
+# the same decisions as masks over a row's codomain columns (see
 # :class:`_Carriers`), with the domain side and the map fixed in ``ctx``
 
 def _domain_only(fn: Callable[[_Ctx], bool]):
-    """The mask form of a predicate that reads no codomain carrier: all
-    positions or none."""
+    """The mask form of a predicate that reads no codomain: all positions
+    or none."""
     return lambda ctx, cv: cv.full if fn(ctx) else 0
 
 
@@ -716,8 +738,8 @@ def _m_image_ideal_equal(ctx, cv):
 
 
 def _continuous_mask(ctx, cv, nb_x: tuple[int, ...], nb_y: str) -> int:
-    # the mask form of maps._continuous into the codomain sides' per-point
-    # table ``nb_y`` of minimal neighborhoods: f[N(x)] <= N_Y(f(x))
+    # the mask form of maps._continuous into the columns' per-point table
+    # ``nb_y`` of minimal neighborhoods: f[N(x)] <= N_Y(f(x))
     img, rows = ctx.img, cv[nb_y, "sub"]
     hold = cv.full
     for x, a in enumerate(nb_x):
@@ -729,13 +751,28 @@ def _m_psi_codomain_continuous(ctx, cv):
     return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "psi_nbhd")
 
 
+def _m_star_to_base_continuous(ctx, cv):
+    return _continuous_mask(ctx, cv, ctx.sx.star_nbhd, "min_nbhd")
+
+
+def _m_psi_domain_open(ctx, cv):
+    # the mask form of maps._open into the columns' topologies:
+    # V = f[psi(N(x))] is open iff cl(Y - V) = Y - V
+    img, full, rows = ctx.img, cv.full_y, cv["cl", "eq"]
+    hold = cv.full
+    for a in ctx.sx.psi_nbhd:
+        closed = full ^ img[a]
+        hold &= rows[closed][closed]
+    return hold
+
+
 def _m_star_continuous(ctx, cv):
     return _continuous_mask(ctx, cv, ctx.sx.star_nbhd, "star_nbhd")
 
 
 def _m_star_open(ctx, cv):
     # V = f[N*(x)] is star-open iff it misses the local function of Y - V
-    img, full, rows = ctx.img, ctx.sy.full, cv["star", "disj"]
+    img, full, rows = ctx.img, cv.full_y, cv["star", "disj"]
     hold = cv.full
     for a in ctx.sx.star_nbhd:
         hold &= rows[full ^ img[a]][img[a]]
@@ -743,22 +780,30 @@ def _m_star_open(ctx, cv):
 
 
 def _m_star_homeo(ctx, cv):
-    if not ctx.prof.bijective:
+    # a map between equal point counts is bijective iff it is onto
+    if ctx.sx.n != cv.n or ctx.img[ctx.sx.full] != cv.full_y:
         return 0
     return _m_star_continuous(ctx, cv) & _m_star_open(ctx, cv)
 
 
+def _m_base_iff_star(ctx, cv):
+    # the positions where base continuity, f[N(x)] <= N_Y(f(x)), agrees
+    # with star-to-base continuity
+    base = _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "min_nbhd")
+    return cv.full & ~(base ^ _m_star_to_base_continuous(ctx, cv))
+
+
 # the mask form of every level-2 hypothesis, in the order a gate evaluates
-# them: table reads, then one evaluation per block
+# them: single table reads and the domain flag, then one read per point
 _GATE_MASKS = {
     _h_preimage_ok: _m_preimage_ok,
     _h_image_ok: _m_image_ok,
     _h_equivalence_ok: _m_equivalence_ok,
     _h_image_ideal_equal: _m_image_ideal_equal,
-    _h_psi_codomain_continuous: _m_psi_codomain_continuous,
     _h_domain_star_full: _domain_only(_h_domain_star_full),
-    _star_to_base_continuous: _domain_only(_star_to_base_continuous),
-    _h_psi_domain_open: _domain_only(_h_psi_domain_open),
+    _h_psi_codomain_continuous: _m_psi_codomain_continuous,
+    _star_to_base_continuous: _m_star_to_base_continuous,
+    _h_psi_domain_open: _m_psi_domain_open,
 }
 
 # the mask form of every conclusion that is not a declaration
@@ -766,7 +811,7 @@ _CONCL_MASKS = {
     _tc2_c: _m_star_continuous,
     _open_star: _m_star_open,
     _star_homeo: _m_star_homeo,
-    _samuels_iff: _domain_only(_base_iff_star),
+    _samuels_iff: _m_base_iff_star,
 }
 
 
@@ -776,9 +821,8 @@ def level2_gates(spec: TheoremSpec, dropped: frozenset[str]) -> tuple:
     return tuple(m for fn, m in _GATE_MASKS.items() if fn in fns)
 
 
-def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers) -> int:
-    """The positions of ``cv`` that pass every gate."""
-    live = cv.full
+def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers, live: int) -> int:
+    """The positions in ``live`` that pass every gate."""
     for gate in gates:
         live &= gate(ctx, cv)
         if not live:

@@ -308,28 +308,34 @@ def test_labeled_carrier_scans_keep_their_reports(tid):
             ) == LABELED_REPORTS[tid]
 
 
-def test_carrier_tables_are_keyed_by_codomain_topology_and_carriers():
-    tables = search._carrier_tables
-    tables.cache_clear()
+def test_column_tables_are_keyed_by_codomain_size_and_carriers():
+    columns = search._columns
+    columns.cache_clear()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
-    # one table per codomain topology on 1, 2 and 3 points, though the scan
-    # walks (1 + 4 + 29) ** 2 = 1,156 labeled blocks
-    assert tables.cache_info().currsize == 1 + 4 + 29
+    # one table per codomain size, with a column per topology on 1, 2 and
+    # 3 points, though the scan walks (1 + 4 + 29) ** 2 = 1,156 labeled
+    # blocks
+    assert columns.cache_info().currsize == 3
+    assert [len(columns(n, (0,)).sides) for n in (1, 2, 3)] == [1, 4, 29]
     verify_exhaustive("TC1", SearchBounds(3, 3))
-    # and one per codomain class with its carriers, whatever the domain size
-    assert tables.cache_info().currsize == 34 + 1 + 3 + 9
-    # a representative's tables with its own carriers and with the
-    # restricted scan's are both kept
-    tops, orbits, _ = search._classes(3)
-    iy, ys = orbits[-1]
-    tables(tops[iy], ys)
-    tables(tops[iy], (0,))
-    assert tables.cache_info().currsize == 47
+    # and one per codomain size with the representatives, whatever the
+    # domain size: 2, 10 and 54 columns in 1, 3 and 9 blocks
+    assert columns.cache_info().currsize == 6
+    tables = [columns(n, None) for n in (1, 2, 3)]
+    assert columns.cache_info().currsize == 6
+    assert [len(cv.sides) for cv in tables] == [2, 10, 54]
+    assert [len(cv.spans) for cv in tables] == [1, 3, 9]
+    for n, cv in zip((1, 2, 3), tables):
+        # block k holds one position per carrier from starts[k] on, and
+        # the blocks cover the positions
+        assert [span >> start for span, start in zip(cv.spans, cv.starts)
+                ] == [(1 << len(ys)) - 1 for _, ys in search._blocks(n, None)]
+        assert sum(cv.spans) == cv.full
 
 
 def clear_table_caches():
     for cached in (star._side_tables, star._top_tables, search._workspace,
-                   search._classes, search._carrier_tables):
+                   search._classes, search._columns):
         cached.cache_clear()
 
 
@@ -561,18 +567,13 @@ def scans(tid):
         (frozenset({h}), "find") for h in THEOREMS[tid].hypothesis_names]
 
 
-def blocks(ws, labeled):
-    """(ix, mx_range, iy, my_range) for every block of a workspace: the
-    representative ones, or every labeled one with all carriers."""
-    if labeled:
-        every = range(1 << ws.tops_x[0].n)
-        xs = [(ix, every) for ix in range(len(ws.tops_x))]
-        every = range(1 << ws.tops_y[0].n)
-        ys = [(iy, every) for iy in range(len(ws.tops_y))]
-    else:
-        xs, ys = ws.orbits_x, ws.orbits_y
-    return [(ix, mx_range, iy, my_range) for ix, mx_range in xs
-            for iy, my_range in ys]
+def rows(ws, carriers):
+    """(ix, mx_range) for every scan row of a workspace: the
+    representative ones, or with ``carriers`` every labeled one."""
+    if carriers is None:
+        return ws.orbits_x
+    every = search._carrier_range(ws.tops_x[0].n, carriers)
+    return [(ix, every) for ix in range(len(ws.tops_x))]
 
 
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
@@ -580,17 +581,70 @@ def blocks(ws, labeled):
                                             (SearchBounds(2, 2), True)])
 def test_kernel_finds_the_per_instance_least_key_in_every_block(
         tid, bounds, labeled):
+    # each row's hits are the least key of every block of the row, in
+    # block order, on every representative row up to (3,3) and every
+    # labeled row with all carriers up to (2,2)
     spec = THEOREMS[tid]
+    carriers = all_carriers(bounds) if labeled else None
     for dropped, mode in scans(tid):
-        gates = search.thm.level2_gates(spec, dropped)
         for pair in bounds.size_pairs():
             ws = search._workspace(*pair)
-            for ix, xs, iy, ys in blocks(ws, labeled):
-                best = search._scan_block(spec, dropped, gates, mode, ws, ix,
-                                          iy, xs, ys)[0]
-                assert best == oracles.scan_block_by_instance(
-                    spec, dropped, mode, ws, ix, iy, xs, ys), (
-                    tid, dropped, pair, ix, iy)
+            for ix, xs in rows(ws, carriers):
+                hits = search._run_row(
+                    (tid, dropped, mode, *pair, carriers, (ix, xs)))[0]
+                expected = []
+                for iy, ys in search._blocks(pair[1], carriers):
+                    best = oracles.scan_block_by_instance(
+                        spec, dropped, mode, ws, ix, iy, xs, ys)
+                    if best is not None:
+                        expected.append((iy, *best))
+                assert hits == expected, (tid, dropped, pair, ix)
+
+
+def contexts_of_rows(bounds, carriers):
+    """Every (kernel context, columns, scalar context of each column) of
+    the rows within ``bounds``, one per (map, domain carrier)."""
+    for pair in bounds.size_pairs():
+        ws = search._workspace(*pair)
+        cv = search._columns(pair[1], carriers)
+        for ix, xs in rows(ws, carriers):
+            profs = [ws.profiles(ix, iy)
+                     for iy, ys in search._blocks(pair[1], carriers)
+                     for _ in ys]
+            for fi in range(len(ws.maps)):
+                for mx in xs:
+                    sx = star._side_tables(ws.tops_x[ix], mx)
+                    ctx = search.thm._Ctx(sx, None, ws.imgs[fi],
+                                          ws.pres[fi], None)
+                    yield ctx, cv, [
+                        search.thm._Ctx(sx, sy, ws.imgs[fi], ws.pres[fi],
+                                        prof[fi])
+                        for sy, prof in zip(cv.sides, profs)]
+
+
+# the mask forms that read the codomain topology, with their scalar forms
+TOPOLOGY_MASKS = [
+    (search.thm._m_star_to_base_continuous,
+     search.thm._star_to_base_continuous),
+    (search.thm._m_psi_domain_open, search.thm._h_psi_domain_open),
+    (search.thm._m_base_iff_star, search.thm._base_iff_star),
+    (search.thm._m_star_homeo, lambda ctx: search.thm._star_homeo(ctx) is None),
+]
+
+
+@pytest.mark.parametrize("bounds,labeled", [(SearchBounds(3, 3), False),
+                                            (SearchBounds(2, 2), True)])
+def test_topology_mask_forms_match_their_scalar_predicates(bounds, labeled):
+    carriers = all_carriers(bounds) if labeled else None
+    checked = 0
+    for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
+        for mask, scalar in TOPOLOGY_MASKS:
+            assert mask(ctx, cv) == sum(
+                1 << pos for pos, one in enumerate(scalars) if scalar(one))
+        checked += len(scalars)
+    # every representative instance up to (3,3), and every labeled one up
+    # to (2,2)
+    assert checked == (88_808 if not labeled else 1_124)
 
 
 def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
@@ -677,3 +731,60 @@ def test_carrier_within_the_larger_bound_is_accepted():
     # 4 = {2} fits the three codomain points, not the one domain point
     r = verify_exhaustive("TC1", SearchBounds(1, 3), carriers=(0, 4))
     assert r.ideal_carriers == (0, 4) and r.instances_checked > 0
+
+
+@pytest.mark.parametrize("workers", [-3, 0, 2.5, True, "2"])
+def test_workers_must_be_none_or_a_positive_integer(monkeypatch, workers):
+    def no_scan(*args):
+        raise AssertionError("scanned before the workers were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    with pytest.raises(BadSearchOption):
+        verify_exhaustive("TC1", SearchBounds(2, 2), workers=workers)
+    with pytest.raises(BadSearchOption):
+        find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2),
+                            workers=workers)
+
+
+def search_by_instance(tid, dropped, mode, bounds, carriers):
+    """The least labeled key (size pair index, ix, mx, iy, my, fi) of a
+    carrier-restricted scan, block by block through the per-instance
+    oracle, with the instances walked."""
+    spec, keys, walked = THEOREMS[tid], [], 0
+    for size_idx, pair in enumerate(bounds.size_pairs()):
+        ws = search._workspace(*pair)
+        xs, ys = (search._carrier_range(n, carriers) for n in pair)
+        walked += (len(ws.tops_x) * len(xs) * len(ws.tops_y) * len(ys)
+                   * len(ws.maps))
+        for ix in range(len(ws.tops_x)):
+            for iy in range(len(ws.tops_y)):
+                best = oracles.scan_block_by_instance(
+                    spec, frozenset(dropped), mode, ws, ix, iy, xs, ys)
+                if best is not None:
+                    mx, my, fi = best
+                    keys.append((size_idx, ix, mx, iy, my, fi))
+    return min(keys, default=None), walked
+
+
+@pytest.mark.parametrize("carriers", [(4,), (0, 4)])
+@pytest.mark.parametrize("tid,dropped", [("TC1", ()),
+                                         ("CONTPSI", ("surjective",)),
+                                         ("HR34", ("injective",))])
+def test_rows_without_columns_keep_the_per_instance_result(carriers, tid,
+                                                           dropped):
+    # 4 = {2} fits no carrier on one or two points, so with (4,) the rows
+    # of those sizes have no columns, and no domain carrier either
+    bounds = SearchBounds(3, 3)
+    mode = "find" if dropped else "verify"
+    lines = []
+    report = search._exhaustive(tid, dropped, mode, bounds, 1,
+                                lambda *line: lines.append(line), carriers)
+    key, walked = search_by_instance(tid, dropped, mode, bounds, carriers)
+    assert report.stats["instances_scanned"] == walked
+    assert lines[-1][1] == walked
+    if key is None:
+        assert report.counterexample is None
+    else:
+        ws = search._workspace(*bounds.size_pairs()[key[0]])
+        assert (report.counterexample.instance
+                == search._instance_from_key(ws, *key[1:]))
