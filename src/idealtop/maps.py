@@ -138,8 +138,8 @@ class MapProfile:
         return self.continuous and self.open_map and self.bijective
 
 
-# the 32 possible profiles, keyed by their flags in field order, so that a
-# scan holding a profile per (map, topology pair) holds 32 objects
+# the 32 possible profiles, keyed by their flags in field order, so that
+# equal profiles are one object
 _PROFILES = {flags: MapProfile(*flags)
              for flags in product((False, True), repeat=5)}
 

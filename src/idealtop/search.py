@@ -9,12 +9,12 @@ row reports the least candidate of each topology-pair block by the
 canonical key, and the aggregator takes the overall minimum, so the result
 is identical for any worker count.
 
-Hypothesis evaluation is staged: map/topology-level hypotheses gate each
-map for a whole block before the carrier-level gates run, and each
-(map, domain carrier) then decides every column of its row at once, as a
-bitmask over them (see :func:`_run_row`).  That makes the full
-13-theorem certification take about a tenth of a second at three points
-and under ten seconds at four, on one core.
+Hypothesis evaluation is staged, and each stage decides every column of
+a row at once, as a bitmask over them (see :func:`_run_row`): the
+topology-level hypotheses once per (row, map), then the carrier-level
+gates and the conclusions once per (map, domain carrier).  That makes the
+full 13-theorem certification take about a tenth of a second at three
+points and about five seconds at four, on one core.
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
@@ -37,9 +37,9 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (BadMask, BadSearchOption, CapExceeded,
                      UnknownHypothesisName)
 from .ideal import Ideal
-from .maps import FiniteMap, MapProfile, image_table, preimage_table
+from .maps import FiniteMap, image_table, preimage_table
 from .space import Topology, check_point_count, full_mask
-from .star import IdealSpace, _Side, _side_tables
+from .star import IdealSpace, _Carriers, _side_tables
 from . import theorems as thm
 
 TOPOLOGY_ENUM_CAP = 5  # labeled topologies on 6+ points are out of reach here
@@ -193,9 +193,7 @@ class SearchReport:
 # per-size workspace, cached per process
 # ---------------------------------------------------------------------------
 
-def _orbit_reps(tops: list[Topology]
-                ) -> tuple[list[tuple[int, tuple[int, ...]]],
-                           list[tuple[int, tuple[int, ...]]]]:
+def _orbit_reps(tops: list[Topology]) -> list[tuple[int, tuple[int, ...]]]:
     """The relabeling classes of the (topology, carrier) pairs on ``n``
     points, given every topology on ``n`` points in enumeration order.
 
@@ -203,10 +201,6 @@ def _orbit_reps(tops: list[Topology]
     class under the permutations of the points, with the least carrier of
     each orbit of the automorphism group of ``tops[ix]`` on carriers.  So
     every representative pair is the least (index, carrier) of its orbit.
-    Also returns, for each index ``j``, the least index ``ix`` of its class
-    with one permutation ``p`` of the points that carries ``tops[ix]`` to
-    ``tops[j]`` (``N_j(p(x)) = p[N_ix(x)]``); ``p`` is the identity when
-    ``j == ix``.
     """
     n = tops[0].n
     index = {t.min_nbhd: i for i, t in enumerate(tops)}
@@ -214,10 +208,10 @@ def _orbit_reps(tops: list[Topology]
     moved = [(p, [sum(1 << p[x] for x in range(n) if (a >> x) & 1)
                   for a in range(1 << n)])
              for p in permutations(range(n))]
-    relabel: dict[int, tuple[int, tuple[int, ...]]] = {}
+    seen: set[int] = set()
     reps = []
     for ix, t in enumerate(tops):
-        if ix in relabel:
+        if ix in seen:
             continue
         automorphisms = []
         for p, mv in moved:
@@ -225,24 +219,21 @@ def _orbit_reps(tops: list[Topology]
             for x, nb in enumerate(t.min_nbhd):
                 table[p[x]] = mv[nb]
             j = index[tuple(table)]
-            relabel.setdefault(j, (ix, p))
+            seen.add(j)
             if j == ix:
                 automorphisms.append(mv)
         carriers = {min(mv[c] for mv in automorphisms) for c in range(1 << n)}
         reps.append((ix, tuple(sorted(carriers))))
-    return reps, [relabel[j] for j in range(len(tops))]
+    return reps
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[Topology, ...],
-                              tuple[tuple[int, tuple[int, ...]], ...],
                               tuple[tuple[int, tuple[int, ...]], ...]]:
     """The topologies on ``n`` points in enumeration order, with their
-    relabeling classes and the relabeling of each from its class
-    representative (:func:`_orbit_reps`)."""
+    relabeling classes (:func:`_orbit_reps`)."""
     tops = tuple(enumerate_topologies(n))
-    reps, relabel = _orbit_reps(tops)
-    return tops, tuple(reps), tuple(relabel)
+    return tops, tuple(_orbit_reps(tops))
 
 
 def _blocks(n: int, carriers: Optional[tuple[int, ...]]
@@ -251,7 +242,7 @@ def _blocks(n: int, carriers: Optional[tuple[int, ...]]
     index, carriers) pairs: each class representative with its carriers
     (:func:`_classes`), or, with ``carriers``, every topology with those of
     them that fit, and none when none fits."""
-    tops, orbits, _ = _classes(n)
+    tops, orbits = _classes(n)
     if carriers is None:
         return orbits
     ys = _carrier_range(n, carriers)
@@ -259,66 +250,27 @@ def _blocks(n: int, carriers: Optional[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, carriers: Optional[tuple[int, ...]]) -> thm._Carriers:
+def _columns(n: int, carriers: Optional[tuple[int, ...]]) -> _Carriers:
     """The columns of every scan row on ``n`` codomain points, one bit
     position per (topology, carrier) of :func:`_blocks`, block by block,
-    with their tables (:class:`theorems._Carriers`)."""
+    with their tables (:class:`star._Carriers`)."""
     tops = _classes(n)[0]
-    return thm._Carriers(n, [[_side_tables(tops[iy], my) for my in ys]
+    return _Carriers(n, [[_side_tables(tops[iy], my) for my in ys]
                              for iy, ys in _blocks(n, carriers)])
 
 
 class _Workspace:
-    """The tables one size pair's scan reads besides the side tables: the
-    topologies of each side size with their classes (:func:`_classes`), the
-    maps with their image and preimage tables, and the classification of
-    every map between a pair of topologies.
-
-    Only pairs of class representatives are classified, each when a scan
-    first reads it, and kept.  Any other pair is a relabeling of one: if
-    ``p`` carries ``tops_x[rx]`` to ``tops_x[ix]`` and ``q`` carries
-    ``tops_y[ry]`` to ``tops_y[iy]``, both are homeomorphisms, so ``f`` is
-    continuous, open, closed, injective or surjective from ``ix`` to ``iy``
-    exactly when ``q^-1 . f . p`` is so from ``rx`` to ``ry``.  Its
-    profiles are read off the representative pair's through a permutation
-    of the map indices, kept per ``(p, q)``.
-    """
+    """The tables one size pair's scan reads besides the side and column
+    tables: the topologies of each side size with their classes
+    (:func:`_classes`), and the maps with their image and preimage
+    tables."""
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
-        self.tops_x, self.orbits_x, self.relabel_x = _classes(n_dom)
-        self.tops_y, self.orbits_y, self.relabel_y = _classes(n_cod)
+        self.tops_x, self.orbits_x = _classes(n_dom)
+        self.tops_y, self.orbits_y = _classes(n_cod)
         self.maps = list(enumerate_maps(n_dom, n_cod))
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
-        self.profs: dict[tuple[int, int], list[MapProfile]] = {}
-        self.moves: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                         list[int]] = {}
-
-    def profiles(self, ix: int, iy: int) -> list[MapProfile]:
-        """Every map classified between domain topology ``ix`` and codomain
-        topology ``iy``."""
-        rx, p = self.relabel_x[ix]
-        ry, q = self.relabel_y[iy]
-        profs = self.profs.get((rx, ry))
-        if profs is None:
-            tx, ty = self.tops_x[rx], self.tops_y[ry]
-            profs = self.profs[rx, ry] = [thm.classify(f, tx, ty)
-                                          for f in self.maps]
-        if ix == rx and iy == ry:
-            return profs
-        return [profs[g] for g in self._moved(p, q)]
-
-    def _moved(self, p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
-        """The index of ``q^-1 . f . p`` for the index of every map ``f``."""
-        moved = self.moves.get((p, q))
-        if moved is None:
-            q_inv = sorted(range(len(q)), key=q.__getitem__)
-            # map indices are value tables read as numbers in base n_cod
-            digit = [len(q) ** (len(p) - 1 - x) for x in range(len(p))]
-            moved = self.moves[p, q] = [
-                sum(q_inv[f.values[px]] * d for px, d in zip(p, digit))
-                for f in self.maps]
-        return moved
 
 
 @lru_cache(maxsize=None)
@@ -347,29 +299,6 @@ def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
             else thm.designated_false)
 
 
-def _level1(spec: thm.TheoremSpec, dropped: frozenset[str], ws: _Workspace,
-            ix: int, blocks: Sequence[tuple[int, Sequence[int]]],
-            cv: thm._Carriers, sx: _Side) -> list[int]:
-    """For each map, the positions of the blocks whose level-1 gate it
-    passes.  The gate reads only the map's profile and the codomain
-    topology, so it is evaluated once per distinct profile of a block, in a
-    context of the block's own."""
-    passed = [0] * len(ws.maps)
-    for (iy, _), start, span in zip(blocks, cv.starts, cv.spans):
-        profs = ws.profiles(ix, iy)
-        ctx = thm._Ctx(sx, cv.sides[start], None, None, None)
-        # keyed by identity, which is cheaper to hash than the flags:
-        # profiles are interned, so equal ones are one object
-        verdict = {id(prof): prof for prof in profs}
-        for key, prof in verdict.items():
-            ctx.prof = prof
-            verdict[key] = thm.hypotheses_pass(spec, ctx, dropped, level=1)
-        for fi, prof in enumerate(profs):
-            if verdict[id(prof)]:
-                passed[fi] |= span
-    return passed
-
-
 # one row: the domain topology with its carriers
 _Row = tuple[int, Sequence[int]]
 
@@ -379,15 +308,15 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
 
     Returns the least candidate of each block that has one, as
     [(iy, mx, my, fi), ...] in block order, with the row's instances that
-    pass the level-1 gate and both gates.  Each map starts from the
-    positions of the blocks whose level-1 gate it passes
-    (:func:`_level1`); each (map, m_x) then decides every column at once:
-    the level-2 gates (:func:`theorems.level2_gates`) and the violations
-    are masks over the positions, and within a block the lowest set bit of
-    the violation mask is the least m_y.  A block's positions leave the violation masks, never the gates,
-    once its candidate has a smaller m_x, since no later map can beat it
-    there.  Workspaces and columns are built lazily per process, so the
-    function is safe under any multiprocessing start method.
+    pass the level-1 gate and both gates.  Every stage decides all columns
+    at once, as a mask over the positions (:func:`theorems.gate_mask`):
+    the level-1 gate, which reads no carrier, once per map, then the
+    level-2 gates and the violations once per (map, m_x).  Within a block
+    the lowest set bit of the violation mask is the least m_y.  A block's
+    positions leave the violation masks, never the gates, once its
+    candidate has a smaller m_x, since no later map can beat it there.
+    Workspaces and columns are built lazily per process, so the function
+    is safe under any multiprocessing start method.
     """
     theorem_id, dropped, mode, n_dom, n_cod, carriers, (ix, mx_range) = args
     blocks = _blocks(n_cod, carriers)
@@ -397,8 +326,8 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     ws = _workspace(n_dom, n_cod)
     cv = _columns(n_cod, carriers)
     sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
-    passed = _level1(spec, dropped, ws, ix, blocks, cv, sides_x[0])
-    gates = thm.level2_gates(spec, dropped)
+    gates1 = thm.level_gates(spec, dropped, 1)
+    gates2 = thm.level_gates(spec, dropped, 2)
     ctx = thm._Ctx(sides_x[0], None, None, None, None)
     # each block's least candidate as (index of m_x, position, fi), and
     # for each index of m_x the positions of the blocks whose candidate
@@ -406,14 +335,16 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     best: dict[int, tuple[int, int, int]] = {}
     settled = [0] * len(mx_range)
     level1 = level2 = 0
-    for fi, passing in enumerate(passed):
+    for fi in range(len(ws.maps)):
+        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
+        # any domain side of the row serves the level-1 gate
+        passing = thm.gate_mask(gates1, ctx, cv, cv.full)
         if not passing:
             continue
-        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
         level1 += passing.bit_count() * len(mx_range)
         for j, sx in enumerate(sides_x):
             ctx.sx = sx
-            live = thm.gate_mask(gates, ctx, cv, passing)
+            live = thm.gate_mask(gates2, ctx, cv, passing)
             if not live:
                 continue
             level2 += live.bit_count()
@@ -626,12 +557,16 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
     """Deterministic seeded sampling for bounds too large to exhaust.
 
     Never certifies; the report is labeled sampled.  Refuses a ``mode``
-    other than "find" and "verify", and a ``sample`` below 1.
+    other than "find" and "verify", a ``sample`` other than an integer of
+    at least 1, and a ``seed`` other than an integer.
     """
     if mode not in ("find", "verify"):
         raise BadSearchOption(f"mode must be 'find' or 'verify', got {mode!r}")
-    if sample < 1:
-        raise BadSearchOption(f"sample must be at least 1, got {sample}")
+    if not isinstance(sample, int) or isinstance(sample, bool) or sample < 1:
+        raise BadSearchOption(
+            f"sample must be an integer of at least 1, got {sample!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadSearchOption(f"seed must be an integer, got {seed!r}")
     dropped = tuple(dict.fromkeys(dropped_hypotheses))
     spec = _checked_spec(theorem_id, dropped)
     rng = random.Random(seed)

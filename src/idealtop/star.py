@@ -19,6 +19,7 @@ once and cached by :func:`_side_tables`): the local function, star closure
 and psi of every subset, and the minimal neighborhoods of the star and psi
 topologies.  The operators below read those tables, and so do the theorem
 checkers and the search, so every operator has exactly one implementation.
+The search's column tables (:class:`_Carriers`) are built from them too.
 A finite space is Alexandrov, so a topology is its minimal-neighborhood
 table and nothing else: the star and psi topologies are built from theirs
 in closed form (see :class:`_Side`), and no open-set family is enumerated.
@@ -145,6 +146,76 @@ def _side_tables(top: Topology, carrier: int) -> _Side:
 
 def _side_of(s: IdealSpace) -> _Side:
     return _side_tables(s.top, s.ideal.carrier)
+
+
+_TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
+          "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
+
+
+# tables of the column's topology rather than of its side, and flags of it
+_TOPOLOGY_TABLES = ("min_nbhd", "cl")
+_TOPOLOGY_FLAGS = ("regular", "hausdorff")
+
+
+class _Carriers(dict):
+    """The tables of the codomain columns of one scan row of the search,
+    every (topology, carrier) on ``n`` points it pairs the domain with, one
+    bit position each, so that a mask over the positions decides every
+    column at once (the mask forms in ``theorems`` read them).
+
+    The columns come in blocks of consecutive positions, one per codomain
+    topology, with its carriers ascending: block ``k`` starts at position
+    ``starts[k]`` and holds the positions of ``spans[k]``.
+    ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
+    mask of the positions whose column has ``u <= op(b)`` ("sub"),
+    ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
+    ``op(b)`` ("disj").  ``op`` names a table of the column's side or, for
+    "min_nbhd" and "cl" (the closure), of its topology.
+    ``self["carrier", test][u]`` tests ``u`` against the carrier itself.
+    For a per-point table ``op``, such as "psi_nbhd", ``b`` is a point.
+    ``self["regular"]`` and ``self["hausdorff"]`` are the masks of the
+    positions whose topology has the property.  Each table is built on
+    first read.
+    """
+
+    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans")
+
+    def __init__(self, n: int, blocks: list[list[_Side]]) -> None:
+        super().__init__()
+        self.sides = [s for block in blocks for s in block]
+        self.n = n
+        self.full = (1 << len(self.sides)) - 1
+        self.full_y = (1 << n) - 1
+        self.starts, self.spans = [], []
+        at = 0
+        for block in blocks:
+            self.starts.append(at)
+            self.spans.append(((1 << len(block)) - 1) << at)
+            at += len(block)
+
+    def __missing__(self, key):
+        if key in _TOPOLOGY_FLAGS:
+            tab = sum(1 << j for j, s in enumerate(self.sides)
+                      if getattr(s.tt, key))
+        elif key[0] == "carrier":
+            tab = self._row([s.carrier for s in self.sides], _TESTS[key[1]])
+        else:
+            op, test = key
+            ops = [getattr(s.tt if op in _TOPOLOGY_TABLES else s, op)
+                   for s in self.sides]
+            tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
+                        for b in range(len(ops[0])))
+        self[key] = tab
+        return tab
+
+    def _row(self, values: list[int], test) -> tuple[int, ...]:
+        """For each subset ``u``, the positions ``j`` with
+        ``test(u, values[j])``."""
+        at: dict[int, int] = {}  # each value with the positions that have it
+        for j, v in enumerate(values):
+            at[v] = at.get(v, 0) | 1 << j
+        return tuple(sum(pos for v, pos in at.items() if test(u, v))
+                     for u in range(1 << self.n))
 
 
 # ---------------------------------------------------------------------------

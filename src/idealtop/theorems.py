@@ -52,13 +52,13 @@ only once that has failed.  An equivalence is true when its members all
 hold or all fail.
 
 The search decides every codomain (topology, carrier) column of a scan row
-at once, as bitmasks over them (:class:`_Carriers`).  Each declaration's
-:meth:`Transport.mask` ANDs per-column table entries over the same subsets
-its scalar evaluator walks; every other conclusion and every level-2
-hypothesis has a mask form too (``_CONCL_MASKS``, ``_GATE_MASKS``), which
-reads the codomain, its topology included, from the column tables only.
-``check`` and sampling use the scalar forms, which the tests pin the masks
-to.
+at once, as bitmasks over them (:class:`star._Carriers`).  Each
+declaration's :meth:`Transport.mask` ANDs per-column table entries over the
+same subsets its scalar evaluator walks; every other conclusion and every
+hypothesis of level 1 or 2 has a mask form too (``_CONCL_MASKS``,
+``_LEVEL1_MASKS``, ``_GATE_MASKS``), which reads the codomain, its
+topology included, from the column tables only.  ``check`` and sampling
+use the scalar forms, which the tests pin the masks to.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .ideal import Ideal
 from .maps import (FiniteMap, MapProfile, _continuous, _open, classify,
                    image_table, preimage_table)
 from .space import MAX_POINTS, Topology, _is_open_unchecked, full_mask, points_of
-from .star import IdealSpace, _Side, _side_tables
+from .star import IdealSpace, _Carriers, _Side, _side_tables
 # unused here; perfbench/tracer.py wraps these attributes of this module by name
 from .star import is_compatible, is_ideal_compact
 from . import jsonio
@@ -212,8 +212,8 @@ def _ctx_for(inst: Instance) -> _Ctx:
 #
 # level 1 predicates read only the map's profile and the codomain topology;
 # level 2 also read the carriers and the map's tables; level 0 ones are true
-# on every finite carrier-ideal space.  The search engine gates whole ideal
-# blocks on level 1, once per distinct profile in a block.
+# on every finite carrier-ideal space.  The search decides level 1 once per
+# (row, map), for every carrier of the row's domain and columns at once.
 # ---------------------------------------------------------------------------
 
 def _h_continuous(ctx): return ctx.prof.continuous
@@ -311,7 +311,7 @@ class Transport:
     def holds(self, ctx: _Ctx) -> bool:
         return self(ctx) is None
 
-    def mask(self, ctx: _Ctx, cv: "_Carriers") -> int:
+    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
         """The positions of ``cv`` whose codomain side makes the
         declaration hold, with the domain side and the map from ``ctx``.
 
@@ -339,67 +339,6 @@ class Transport:
 
 # the relation of f[op_X(A)] to op_Y(f[A]) as a carrier-table test
 _DOMAIN_TESTS = {"<=": "sub", ">=": "sup", "==": "eq"}
-_TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
-          "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
-
-
-# tables of the column's topology rather than of its side
-_TOPOLOGY_TABLES = ("min_nbhd", "cl")
-
-
-class _Carriers(dict):
-    """The codomain columns of one scan row, every (topology, carrier) on
-    ``n`` points it pairs the domain with, one bit position each, so that a
-    mask over the positions decides every column at once.
-
-    The columns come in blocks of consecutive positions, one per codomain
-    topology, with its carriers ascending: block ``k`` starts at position
-    ``starts[k]`` and holds the positions of ``spans[k]``.
-    ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
-    mask of the positions whose column has ``u <= op(b)`` ("sub"),
-    ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
-    ``op(b)`` ("disj").  ``op`` names a table of the column's side or, for
-    "min_nbhd" and "cl" (the closure), of its topology.
-    ``self["carrier", test][u]`` tests ``u`` against the carrier itself.
-    For a per-point table ``op``, such as "psi_nbhd", ``b`` is a point.
-    Each table is built on first read.
-    """
-
-    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans")
-
-    def __init__(self, n: int, blocks: list[list[_Side]]) -> None:
-        super().__init__()
-        self.sides = [s for block in blocks for s in block]
-        self.n = n
-        self.full = (1 << len(self.sides)) - 1
-        self.full_y = (1 << n) - 1
-        self.starts, self.spans = [], []
-        at = 0
-        for block in blocks:
-            self.starts.append(at)
-            self.spans.append(((1 << len(block)) - 1) << at)
-            at += len(block)
-
-    def __missing__(self, key: tuple[str, str]) -> tuple:
-        op, test = key
-        if op == "carrier":
-            tab = self._row([s.carrier for s in self.sides], _TESTS[test])
-        else:
-            ops = [getattr(s.tt if op in _TOPOLOGY_TABLES else s, op)
-                   for s in self.sides]
-            tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
-                        for b in range(len(ops[0])))
-        self[key] = tab
-        return tab
-
-    def _row(self, values: list[int], test) -> tuple[int, ...]:
-        """For each subset ``u``, the positions ``j`` with
-        ``test(u, values[j])``."""
-        at: dict[int, int] = {}  # each value with the positions that have it
-        for j, v in enumerate(values):
-            at[v] = at.get(v, 0) | 1 << j
-        return tuple(sum(pos for v, pos in at.items() if test(u, v))
-                     for u in range(1 << self.n))
 
 
 def _least_failing_open(side: str, nb_src: tuple[int, ...],
@@ -595,9 +534,15 @@ _SPECS = (
         (ConclSpec("star_homeomorphism", _star_homeo),),
         designated="star_homeomorphism"),
     # By exhaustive search up to three points a side, dropping `injective`
-    # or `surjective` here yields a counterexample.  For the open dual HR35
-    # below, dropping either yields none, and whether HR35 needs a bijection
-    # on finite spaces is open.
+    # or `surjective` here yields a counterexample.  The open dual HR35
+    # below needs neither, since x lies in psi(A) iff N(x) - A <= M.  So
+    # psi(A) is open in the psi topology: for x in psi(A), N(x) - M <= A,
+    # hence psi(N(x)) = psi(N(x) - M) <= psi(A).  By `psi_domain_open`,
+    # f[psi(A)] is open in Y.  Take y = f(x) with x in psi(A); then
+    # N(y) <= f[psi(A)], so every z in N(y) - f[A] is f(w) for some w in
+    # psi(A) - A.  Then w lies in N(w) - A <= M, so z lies in f[M] <= N by
+    # `image_ok`.  Hence N(y) - f[A] <= N, that is, y lies in psi(f[A]).
+    # Bijectivity is never used.
     TheoremSpec(
         "HR34",
         (HypSpec("psi_codomain_continuous", 2, _h_psi_codomain_continuous),
@@ -712,13 +657,7 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
 
 
 # the same decisions as masks over a row's codomain columns (see
-# :class:`_Carriers`), with the domain side and the map fixed in ``ctx``
-
-def _domain_only(fn: Callable[[_Ctx], bool]):
-    """The mask form of a predicate that reads no codomain: all positions
-    or none."""
-    return lambda ctx, cv: cv.full if fn(ctx) else 0
-
+# :class:`star._Carriers`), with the domain side and the map fixed in ``ctx``
 
 def _m_preimage_ok(ctx, cv):
     # f^-1 N <= M iff N misses f[X - M]
@@ -747,6 +686,50 @@ def _continuous_mask(ctx, cv, nb_x: tuple[int, ...], nb_y: str) -> int:
     return hold
 
 
+def _open_mask(ctx, cv, nb_x: tuple[int, ...]) -> int:
+    # the mask form of maps._open into the columns' topologies:
+    # V = f[N(x)] is open iff cl(Y - V) = Y - V
+    img, full, rows = ctx.img, cv.full_y, cv["cl", "eq"]
+    hold = cv.full
+    for a in nb_x:
+        closed = full ^ img[a]
+        hold &= rows[closed][closed]
+    return hold
+
+
+def _m_continuous(ctx, cv):
+    return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "min_nbhd")
+
+
+def _m_open(ctx, cv):
+    return _open_mask(ctx, cv, ctx.sx.tt.min_nbhd)
+
+
+def _m_closed(ctx, cv):
+    # closed sets are the unions of point closures, so f is closed iff
+    # every f[cl{x}] is its own closure
+    img, cl, rows = ctx.img, ctx.sx.tt.cl, cv["cl", "eq"]
+    hold = cv.full
+    for x in range(ctx.sx.n):
+        image = img[cl[1 << x]]
+        hold &= rows[image][image]
+    return hold
+
+
+def _m_injective(ctx, cv):
+    return cv.full if ctx.img[ctx.sx.full].bit_count() == ctx.sx.n else 0
+
+
+def _m_surjective(ctx, cv):
+    return cv.full if ctx.img[ctx.sx.full] == cv.full_y else 0
+
+
+def _m_homeomorphism(ctx, cv):
+    if not (_m_injective(ctx, cv) and _m_surjective(ctx, cv)):
+        return 0
+    return _m_continuous(ctx, cv) & _m_open(ctx, cv)
+
+
 def _m_psi_codomain_continuous(ctx, cv):
     return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "psi_nbhd")
 
@@ -756,14 +739,7 @@ def _m_star_to_base_continuous(ctx, cv):
 
 
 def _m_psi_domain_open(ctx, cv):
-    # the mask form of maps._open into the columns' topologies:
-    # V = f[psi(N(x))] is open iff cl(Y - V) = Y - V
-    img, full, rows = ctx.img, cv.full_y, cv["cl", "eq"]
-    hold = cv.full
-    for a in ctx.sx.psi_nbhd:
-        closed = full ^ img[a]
-        hold &= rows[closed][closed]
-    return hold
+    return _open_mask(ctx, cv, ctx.sx.psi_nbhd)
 
 
 def _m_star_continuous(ctx, cv):
@@ -789,9 +765,22 @@ def _m_star_homeo(ctx, cv):
 def _m_base_iff_star(ctx, cv):
     # the positions where base continuity, f[N(x)] <= N_Y(f(x)), agrees
     # with star-to-base continuity
-    base = _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "min_nbhd")
-    return cv.full & ~(base ^ _m_star_to_base_continuous(ctx, cv))
+    return cv.full & ~(_m_continuous(ctx, cv)
+                       ^ _m_star_to_base_continuous(ctx, cv))
 
+
+# the mask form of every level-1 hypothesis, in the order a gate evaluates
+# them: per-column constants and domain-only flags, then one read per point
+_LEVEL1_MASKS = {
+    _h_codomain_regular: lambda ctx, cv: cv["regular"],
+    _h_codomain_hausdorff: lambda ctx, cv: cv["hausdorff"],
+    _h_injective: _m_injective,
+    _h_surjective: _m_surjective,
+    _h_homeomorphism: _m_homeomorphism,
+    _h_continuous: _m_continuous,
+    _h_open: _m_open,
+    _h_closed: _m_closed,
+}
 
 # the mask form of every level-2 hypothesis, in the order a gate evaluates
 # them: single table reads and the domain flag, then one read per point
@@ -800,7 +789,7 @@ _GATE_MASKS = {
     _h_image_ok: _m_image_ok,
     _h_equivalence_ok: _m_equivalence_ok,
     _h_image_ideal_equal: _m_image_ideal_equal,
-    _h_domain_star_full: _domain_only(_h_domain_star_full),
+    _h_domain_star_full: lambda ctx, cv: cv.full if ctx.sx.star_full else 0,
     _h_psi_codomain_continuous: _m_psi_codomain_continuous,
     _star_to_base_continuous: _m_star_to_base_continuous,
     _h_psi_domain_open: _m_psi_domain_open,
@@ -815,10 +804,14 @@ _CONCL_MASKS = {
 }
 
 
-def level2_gates(spec: TheoremSpec, dropped: frozenset[str]) -> tuple:
-    """The mask forms of the theorem's level-2 hypotheses not dropped."""
-    fns = {h.fn for h in spec.hyps if h.level == 2 and h.name not in dropped}
-    return tuple(m for fn, m in _GATE_MASKS.items() if fn in fns)
+def level_gates(spec: TheoremSpec, dropped: frozenset[str],
+                level: int) -> tuple:
+    """The mask forms of the theorem's hypotheses of ``level`` (1 or 2)
+    not dropped."""
+    fns = {h.fn for h in spec.hyps
+           if h.level == level and h.name not in dropped}
+    masks = _LEVEL1_MASKS if level == 1 else _GATE_MASKS
+    return tuple(m for fn, m in masks.items() if fn in fns)
 
 
 def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers, live: int) -> int:

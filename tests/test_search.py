@@ -14,6 +14,7 @@ from idealtop import (BadMask, BadSearchOption, CapExceeded, SearchBounds,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
 from idealtop import search, space, star
+from idealtop.maps import MapProfile
 from idealtop.search import _orbit_reps, _search
 from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS
 
@@ -225,25 +226,44 @@ def test_carrier_scan_keeps_only_representative_blocks():
     search._workspace.cache_clear()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
     ws = search._workspace(3, 3)
-    # every one of the 29 * 29 blocks is read, and only the 9 * 9 blocks of
-    # class representatives, all an unrestricted scan reads, are classified
-    assert len(ws.profs) == 81
-    assert set(ws.profs) == {(ix, iy) for ix, _ in ws.orbits_x
-                             for iy, _ in ws.orbits_y}
+    # every one of the 29 * 29 blocks is read, and the workspace keeps
+    # tables per side size and per map only, none per topology pair
+    assert vars(ws).keys() == {"tops_x", "orbits_x", "tops_y", "orbits_y",
+                               "maps", "imgs", "pres"}
+    assert [len(ws.tops_x), len(ws.orbits_x)] == [29, 9]
+    assert [len(ws.maps), len(ws.imgs), len(ws.pres)] == [27, 27, 27]
 
 
-def relabeled_profiles_match_classify(ws, blocks):
+# each flag of a map's classification with the level-1 mask form that
+# decides it
+PROFILE_MASKS = {"continuous": search.thm._m_continuous,
+                 "open_map": search.thm._m_open,
+                 "closed_map": search.thm._m_closed,
+                 "injective": search.thm._m_injective,
+                 "surjective": search.thm._m_surjective}
+
+
+def mask_profiles_match_classify(ws, blocks):
+    # with a column per codomain topology (the carriers play no part), the
+    # mask forms decide every map's flags against all of them at once
+    cv = search._columns(ws.tops_y[0].n, (0,))
     for ix, iy in blocks:
         tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-        assert ws.profiles(ix, iy) == [search.thm.classify(f, tx, ty)
-                                       for f in ws.maps], (ix, iy)
+        ctx = search.thm._Ctx(star._side_tables(tx, 0), None, None, None,
+                              None)
+        for f, img in zip(ws.maps, ws.imgs):
+            ctx.img = img
+            flags = {name: bool(mask(ctx, cv) >> iy & 1)
+                     for name, mask in PROFILE_MASKS.items()}
+            assert (MapProfile(**flags)
+                    == search.thm.classify(f, tx, ty)), (ix, iy, f)
 
 
 @pytest.mark.parametrize("pair", SearchBounds(3, 3).size_pairs())
 def test_relabeled_profiles_are_the_classification_of_every_block(pair):
     search._workspace.cache_clear()
     ws = search._workspace(*pair)
-    relabeled_profiles_match_classify(
+    mask_profiles_match_classify(
         ws, [(ix, iy) for ix in range(len(ws.tops_x))
              for iy in range(len(ws.tops_y))])
 
@@ -252,7 +272,7 @@ def test_relabeled_profiles_match_classify_on_sampled_four_point_blocks():
     search._workspace.cache_clear()
     ws = search._workspace(4, 4)
     rng = random.Random(14)
-    relabeled_profiles_match_classify(
+    mask_profiles_match_classify(
         ws, [(rng.randrange(355), rng.randrange(355)) for _ in range(40)])
 
 
@@ -263,12 +283,11 @@ def test_carrier_scan_classifies_representative_blocks_only(monkeypatch):
     monkeypatch.setattr(search.thm, "classify",
                         lambda *args: calls.append(args) or classify(*args))
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
-    # one classification per map of each pair of class representatives
-    # (1, 3, 9 classes for 1, 2, 3 points; n_cod ** n_dom maps), where
-    # classifying every labeled block made 24,872
-    assert len(calls) == sum(
-        (1, 3, 9)[nx - 1] * (1, 3, 9)[ny - 1] * ny ** nx
-        for nx, ny in SearchBounds(3, 3).size_pairs()) == 2_728
+    # the level-1 gate reads the column tables, so no map is classified,
+    # where classifying every map between each pair of class
+    # representatives made 2,728 calls and between every labeled pair
+    # 24,872
+    assert calls == []
 
 
 # SHA-256 prefixes of the report JSON, less ``elapsed_seconds``, of the
@@ -372,6 +391,22 @@ def test_sampling_refuses_a_bad_mode_or_sample_size(bad):
         sample_search("TC1", **{"sample": 50, "seed": 1, **bad})
 
 
+@pytest.mark.parametrize("bad", [{"sample": True}, {"sample": 2.5},
+                                 {"sample": "3"}, {"seed": None},
+                                 {"seed": 1.5}, {"seed": "x"},
+                                 {"seed": True}])
+def test_sampling_refuses_a_sample_or_seed_that_is_not_an_integer(
+        monkeypatch, bad):
+    # True ran one sample, 2.5 and "3" raised a bare TypeError, and the
+    # seeds were taken, None sampling unreproducibly
+    def no_draw(*args):
+        raise AssertionError("sampled before the options were checked")
+
+    monkeypatch.setattr(search, "_workspace", no_draw)
+    with pytest.raises(BadSearchOption):
+        sample_search("TC1", **{"sample": 50, "seed": 1, **bad})
+
+
 def test_sampling_reports_its_gate_funnel():
     r = sample_search("TC1", bounds=SearchBounds(3, 3), sample=300, seed=0,
                       mode="verify")
@@ -418,7 +453,7 @@ def test_every_registered_theorem_certifies_at_two_points():
                          [(1, 1, 2), (2, 3, 10), (3, 9, 54), (4, 33, 359)])
 def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
     tops = list(enumerate_topologies(n))
-    reps, relabel = _orbit_reps(tops)
+    reps = _orbit_reps(tops)
     assert len(reps) == classes
     assert sum(len(carriers) for _, carriers in reps) == pairs
     # by brute force: the (index, carrier) pairs least in their orbit under
@@ -427,16 +462,6 @@ def test_orbit_representatives_are_the_orbit_minima(n, classes, pairs):
 
     def moved(mask, p):
         return sum(1 << p[x] for x in range(n) if (mask >> x) & 1)
-
-    # each topology is its class representative moved by its permutation
-    rep_indices = {ix for ix, _ in reps}
-    for j, (ix, p) in enumerate(relabel):
-        assert ix in rep_indices and ix <= j
-        assert p == tuple(range(n)) or ix < j
-        table = [0] * n
-        for x, nb in enumerate(tops[ix].min_nbhd):
-            table[p[x]] = moved(nb, p)
-        assert tuple(table) == tops[j].min_nbhd
 
     least = set()
     for ix, t in enumerate(tops):
@@ -608,7 +633,9 @@ def contexts_of_rows(bounds, carriers):
         ws = search._workspace(*pair)
         cv = search._columns(pair[1], carriers)
         for ix, xs in rows(ws, carriers):
-            profs = [ws.profiles(ix, iy)
+            tx = ws.tops_x[ix]
+            profs = [[search.thm.classify(f, tx, ws.tops_y[iy])
+                      for f in ws.maps]
                      for iy, ys in search._blocks(pair[1], carriers)
                      for _ in ys]
             for fi in range(len(ws.maps)):
@@ -647,6 +674,25 @@ def test_topology_mask_forms_match_their_scalar_predicates(bounds, labeled):
     assert checked == (88_808 if not labeled else 1_124)
 
 
+# the mask form of each level-1 hypothesis, with its scalar form
+LEVEL1_MASKS = list(search.thm._LEVEL1_MASKS.items())
+
+
+@pytest.mark.parametrize("bounds,labeled", [(SearchBounds(3, 3), False),
+                                            (SearchBounds(2, 2), True)])
+def test_level1_mask_forms_match_their_scalar_predicates(bounds, labeled):
+    carriers = all_carriers(bounds) if labeled else None
+    checked = 0
+    for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
+        for scalar, mask in LEVEL1_MASKS:
+            assert mask(ctx, cv) == sum(
+                1 << pos for pos, one in enumerate(scalars) if scalar(one))
+        checked += len(scalars)
+    # every representative instance up to (3,3), and every labeled one up
+    # to (2,2)
+    assert checked == (88_808 if not labeled else 1_124)
+
+
 def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
     levels, transports = [], []
     gate = search.thm.hypotheses_pass
@@ -660,16 +706,10 @@ def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
                         or call(self, ctx))
     r = verify_exhaustive("TC1", SearchBounds(3, 3))
     assert r.certified
-    # one level-1 gate per distinct map profile of each representative
-    # block: 663, where one per map made 2,728; and no per-instance
-    # level-2 gate or declaration
-    distinct = 0
-    for pair in SearchBounds(3, 3).size_pairs():
-        ws = search._workspace(*pair)
-        distinct += sum(len(set(ws.profiles(ix, iy)))
-                        for ix, _ in ws.orbits_x for iy, _ in ws.orbits_y)
-    assert len(levels) == distinct == 663
-    assert set(levels) == {1}
+    # no scalar gate at any level, where one level-1 gate per distinct map
+    # profile of each representative block made 663, and no per-instance
+    # declaration
+    assert levels == []
     assert transports == []
 
 

@@ -379,10 +379,19 @@ def test_every_level2_hypothesis_has_a_mask_form():
                 spec.theorem_id, h.name)
 
 
+def test_every_level1_hypothesis_has_a_mask_form():
+    # the search decides the level-1 gate through these alone
+    for spec in thm.THEOREMS.values():
+        for h in spec.hyps:
+            assert (h.fn in thm._LEVEL1_MASKS) == (h.level == 1), (
+                spec.theorem_id, h.name)
+
+
 def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
-    # the search evaluates the level-1 gate once per distinct profile of a
-    # block, so no level-1 predicate may read the map's tables, the domain
-    # or the carriers; a context holding nothing else shows that
+    # the search decides the level-1 gate once per (row, map) for every
+    # carrier, so no level-1 predicate may read the carriers; the scalar
+    # forms read only the profile and the codomain topology, as a context
+    # holding nothing else shows
     for top in enumerate_topologies(3):
         tt = _side_tables(top, 0).tt
         for prof in thm.maps_mod._PROFILES.values():
