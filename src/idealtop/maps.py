@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .errors import BadPoint, DimensionMismatch
 from .space import Topology, check_mask, check_point_count, full_mask
@@ -138,12 +137,6 @@ class MapProfile:
         return self.continuous and self.open_map and self.bijective
 
 
-# the 32 possible profiles, keyed by their flags in field order, so that
-# equal profiles are one object
-_PROFILES = {flags: MapProfile(*flags)
-             for flags in product((False, True), repeat=5)}
-
-
 def _check_dims(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> None:
     if f.n_dom != t_dom.n or f.n_cod != t_cod.n:
         raise DimensionMismatch(
@@ -179,23 +172,34 @@ def _open(img: tuple[int, ...], nb_dom: tuple[int, ...],
     return True
 
 
+def _closed(img: tuple[int, ...], cl_dom: tuple[int, ...],
+            cl_cod: tuple[int, ...]) -> bool:
+    """Whether the map with image table ``img`` is closed from the topology
+    with closure table ``cl_dom`` to the one with ``cl_cod``: iff every
+    ``f[cl{x}]`` is closed, since closed sets are the unions of point
+    closures and images preserve unions."""
+    for x in range((len(cl_dom) - 1).bit_length()):
+        image = img[cl_dom[1 << x]]
+        if cl_cod[image] != image:
+            return False
+    return True
+
+
 def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """Classify ``f`` between two topologies.
 
-    Continuity is decided on minimal neighborhoods, and openness on their
-    images (see :func:`_open`); the five textbook characterizations of
-    continuity are in :func:`continuity_characterizations`.  Closed sets
-    are the unions of point closures, so ``f`` is closed iff every
-    ``f[cl{x}]`` is closed.
+    Continuity is decided on minimal neighborhoods, openness on their
+    images and closedness on point closures (see :func:`_continuous`,
+    :func:`_open` and :func:`_closed`); the five textbook
+    characterizations of continuity are in
+    :func:`continuity_characterizations`.
     """
     _check_dims(f, t_dom, t_cod)
     img = image_table(f)
     cl_x, cl_y = _top_tables(t_dom).cl, _top_tables(t_cod).cl
     nb_x, nb_y = t_dom.min_nbhd, t_cod.min_nbhd
-    closed_map = all(cl_y[c] == c
-                     for c in (img[cl_x[1 << x]] for x in range(f.n_dom)))
-    return _PROFILES[_continuous(img, nb_x, nb_y), _open(img, nb_x, cl_y),
-                     closed_map, f.injective, f.surjective]
+    return MapProfile(_continuous(img, nb_x, nb_y), _open(img, nb_x, cl_y),
+                      _closed(img, cl_x, cl_y), f.injective, f.surjective)
 
 
 def continuity_characterizations(f: FiniteMap, t_dom: Topology,

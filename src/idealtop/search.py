@@ -293,6 +293,16 @@ def _checked_spec(theorem_id: str, dropped) -> thm.TheoremSpec:
     return spec
 
 
+def _dropped_names(dropped) -> tuple[str, ...]:
+    """The distinct names in ``dropped``, in order; refuses a bare string,
+    which would read as its letters."""
+    if isinstance(dropped, str):
+        raise BadSearchOption(
+            f"dropped hypotheses must be a sequence of names, not the "
+            f"string {dropped!r}")
+    return tuple(dict.fromkeys(dropped))
+
+
 def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
     """Any conclusion failing when verifying, the designated one when mining."""
     return (thm.conclusions_violated if mode == "verify"
@@ -328,7 +338,7 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
     gates1 = thm.level_gates(spec, dropped, 1)
     gates2 = thm.level_gates(spec, dropped, 2)
-    ctx = thm._Ctx(sides_x[0], None, None, None, None)
+    ctx = thm._Ctx(sides_x[0], None, None, None)
     # each block's least candidate as (index of m_x, position, fi), and
     # for each index of m_x the positions of the blocks whose candidate
     # has a smaller one
@@ -545,8 +555,9 @@ def find_counterexample(theorem_id: str, dropped_hypotheses=(),
                         progress: Optional[ProgressFn] = None,
                         carriers: Optional[tuple[int, ...]] = None) -> SearchReport:
     """Search for an instance satisfying every non-dropped hypothesis while
-    the theorem's designated conclusion fails."""
-    return _exhaustive(theorem_id, tuple(dict.fromkeys(dropped_hypotheses)),
+    the theorem's designated conclusion fails.  Refuses a bare string of
+    dropped hypotheses."""
+    return _exhaustive(theorem_id, _dropped_names(dropped_hypotheses),
                        "find", bounds, workers, progress, carriers)
 
 
@@ -558,7 +569,8 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
 
     Never certifies; the report is labeled sampled.  Refuses a ``mode``
     other than "find" and "verify", a ``sample`` other than an integer of
-    at least 1, and a ``seed`` other than an integer.
+    at least 1, a ``seed`` other than an integer, and a bare string of
+    dropped hypotheses.
     """
     if mode not in ("find", "verify"):
         raise BadSearchOption(f"mode must be 'find' or 'verify', got {mode!r}")
@@ -567,7 +579,7 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
             f"sample must be an integer of at least 1, got {sample!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise BadSearchOption(f"seed must be an integer, got {seed!r}")
-    dropped = tuple(dict.fromkeys(dropped_hypotheses))
+    dropped = _dropped_names(dropped_hypotheses)
     spec = _checked_spec(theorem_id, dropped)
     rng = random.Random(seed)
     start = time.perf_counter()

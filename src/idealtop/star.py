@@ -97,7 +97,8 @@ class _Side:
     """Per-(topology, carrier) tables: local function, star closure and psi
     of every subset, the minimal neighborhoods of the star and psi
     topologies, and the flag for the whole space being its own local
-    function.
+    function; with the topology's minimal neighborhoods and closure table
+    (``min_nbhd``, ``cl``), so that every table has one name on a side.
 
     ``U`` is star-open iff its complement ``C`` holds its own local function
     ``closure(C - M)``, that is iff no point of ``U`` has a minimal
@@ -115,15 +116,16 @@ class _Side:
     ``psi(N(x)) = psi(N(x) - M) <= psi(U)``.
     """
 
-    __slots__ = ("tt", "n", "full", "carrier", "star", "cl_star", "psi",
-                 "star_nbhd", "psi_nbhd", "star_full")
+    __slots__ = ("tt", "n", "full", "carrier", "min_nbhd", "cl", "star",
+                 "cl_star", "psi", "star_nbhd", "psi_nbhd", "star_full")
 
     def __init__(self, tt: _TopT, carrier: int) -> None:
         self.tt = tt
         self.n = tt.n
         self.full = full = tt.full
         self.carrier = carrier
-        cl = tt.cl
+        self.min_nbhd = tt.min_nbhd
+        self.cl = cl = tt.cl
         not_m = full & ~carrier
         self.star = star = tuple(cl[a & not_m] for a in range(full + 1))
         self.cl_star = tuple(a | star[a] for a in range(full + 1))
@@ -152,8 +154,7 @@ _TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
           "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
 
 
-# tables of the column's topology rather than of its side, and flags of it
-_TOPOLOGY_TABLES = ("min_nbhd", "cl")
+# flags of the column's topology
 _TOPOLOGY_FLAGS = ("regular", "hausdorff")
 
 
@@ -169,8 +170,7 @@ class _Carriers(dict):
     ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
     mask of the positions whose column has ``u <= op(b)`` ("sub"),
     ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
-    ``op(b)`` ("disj").  ``op`` names a table of the column's side or, for
-    "min_nbhd" and "cl" (the closure), of its topology.
+    ``op(b)`` ("disj").  ``op`` names a table of the column's side.
     ``self["carrier", test][u]`` tests ``u`` against the carrier itself.
     For a per-point table ``op``, such as "psi_nbhd", ``b`` is a point.
     ``self["regular"]`` and ``self["hausdorff"]`` are the masks of the
@@ -201,8 +201,7 @@ class _Carriers(dict):
             tab = self._row([s.carrier for s in self.sides], _TESTS[key[1]])
         else:
             op, test = key
-            ops = [getattr(s.tt if op in _TOPOLOGY_TABLES else s, op)
-                   for s in self.sides]
+            ops = [getattr(s, op) for s in self.sides]
             tab = tuple(self._row([o[b] for o in ops], _TESTS[test])
                         for b in range(len(ops[0])))
         self[key] = tab

@@ -44,37 +44,39 @@ closure ``A | A*``) or ``psi``.  On the ``domain`` side it compares
 side, ``op_X(f^-1 B)`` with ``f^-1[op_Y(B)]`` for every ``B``.  ``rel`` is
 ``<=``, ``>=`` or ``==``.  TC1 (a) is ``(star, domain, <=)``, CONTPSI (b) is
 ``(psi, codomain, >=)``, and the HOMEO exchanges are the ``==``
-declarations.  Continuity and openness between star, psi and base
-topologies are decided on minimal neighborhoods (``maps._continuous``,
-``maps._open``, which reads the target's closure table: ``cl_star`` for
-the star topology); a witness, the least failing open set, is searched for
-only once that has failed.  An equivalence is true when its members all
-hold or all fail.
+declarations.  Continuity and openness between the base, star and psi
+topologies are declared the same way, on minimal neighborhoods:
+:class:`Continuous` ``(nb_x, nb_y)`` names a neighborhood table of each
+side (``maps._continuous``), :class:`Open` ``(nb_x, cl_y)`` one of the
+domain and the codomain's closure table (``maps._open``; ``cl_star`` for
+the star topology), and :class:`Homeomorphism` pairs one of each with
+bijectivity.  A witness, the least failing open set, is searched for only
+once one has failed.  An equivalence is true when its members all hold or
+all fail.
 
-The search decides every codomain (topology, carrier) column of a scan row
-at once, as bitmasks over them (:class:`star._Carriers`).  Each
-declaration's :meth:`Transport.mask` ANDs per-column table entries over the
-same subsets its scalar evaluator walks; every other conclusion and every
-hypothesis of level 1 or 2 has a mask form too (``_CONCL_MASKS``,
-``_LEVEL1_MASKS``, ``_GATE_MASKS``), which reads the codomain, its
-topology included, from the column tables only.  ``check`` and sampling
-use the scalar forms, which the tests pin the masks to.
+Every declaration, and every other hypothesis (:class:`Gate`), carries
+two forms: ``check`` and sampling call the scalar one on one instance, and
+the search the mask form, which decides every codomain (topology, carrier)
+column of a scan row at once, as a bitmask over them
+(:class:`star._Carriers`).  A mask form reads the codomain, its topology
+included, from the column tables only, and the same tables as its scalar
+form; the tests pin the two to each other.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .errors import (BadPoint, CapExceeded, DimensionMismatch, UnknownTheorem)
 from .ideal import Ideal
-from .maps import (FiniteMap, MapProfile, _continuous, _open, classify,
-                   image_table, preimage_table)
+from .maps import (FiniteMap, _closed, _continuous, _open, image_table,
+                   preimage_table)
 from .space import MAX_POINTS, Topology, _is_open_unchecked, full_mask, points_of
 from .star import IdealSpace, _Carriers, _Side, _side_tables
 # unused here; perfbench/tracer.py wraps these attributes of this module by name
+from .maps import classify
 from .star import is_compatible, is_ideal_compact
 from . import jsonio
 from . import ideal as ideal_mod
@@ -179,98 +181,151 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 class _Ctx:
-    """Everything a checker reads: domain side, codomain side, the map's
-    image and preimage tables, and its classification between the two base
-    topologies.  The mask forms, which take the codomain from the column
-    tables, read neither the codomain side nor the classification, so the
-    search's kernel context holds None for both."""
+    """Everything a checker reads: domain side, codomain side, and the
+    map's image and preimage tables.  The mask forms take the codomain from
+    the column tables and never read its side, so the search's kernel
+    context holds None there."""
 
-    __slots__ = ("sx", "sy", "img", "pre", "prof")
+    __slots__ = ("sx", "sy", "img", "pre")
 
     def __init__(self, sx: _Side, sy: _Side, img: tuple[int, ...],
-                 pre: tuple[int, ...], prof: MapProfile) -> None:
+                 pre: tuple[int, ...]) -> None:
         self.sx = sx
         self.sy = sy
         self.img = img
         self.pre = pre
-        self.prof = prof
 
 
-# one entry: the 13 checks of ``check ... all`` on one instance classify
-# the map once
+# one entry: the 13 checks of ``check ... all`` on one instance share the
+# tables of its two sides and its map
 @lru_cache(maxsize=1)
 def _ctx_for(inst: Instance) -> _Ctx:
     f = inst.f
     return _Ctx(_side_tables(inst.X.top, inst.X.ideal.carrier),
                 _side_tables(inst.Y.top, inst.Y.ideal.carrier),
-                image_table(f), preimage_table(f),
-                classify(f, inst.X.top, inst.Y.top))
+                image_table(f), preimage_table(f))
 
 
 # ---------------------------------------------------------------------------
-# hypothesis predicates
-#
-# level 1 predicates read only the map's profile and the codomain topology;
-# level 2 also read the carriers and the map's tables; level 0 ones are true
-# on every finite carrier-ideal space.  The search decides level 1 once per
-# (row, map), for every carrier of the row's domain and columns at once.
+# declarations: each is decided on one context (``holds``, and called, the
+# least subset or point where it fails, or None) and as a mask over the
+# codomain columns of a scan row (``mask``; see :class:`star._Carriers`),
+# with the domain side and the map fixed in the context
 # ---------------------------------------------------------------------------
 
-def _h_continuous(ctx): return ctx.prof.continuous
-def _h_open(ctx): return ctx.prof.open_map
-def _h_closed(ctx): return ctx.prof.closed_map
-def _h_injective(ctx): return ctx.prof.injective
-def _h_surjective(ctx): return ctx.prof.surjective
-def _h_homeomorphism(ctx): return ctx.prof.homeomorphism
+def _witness(side: str, table: tuple[int, ...], nb_src: tuple[int, ...],
+             is_open_dst: Callable[[int], bool]) -> Witness:
+    """The least set open under the minimal neighborhoods ``nb_src`` whose
+    entry in ``table``, a map's image or preimage table, is not open on the
+    other side, as a witness on ``side``; there must be one."""
+    return Witness("", side, "subset", mask=next(
+        s for s in range(len(table)) if _is_open_unchecked(nb_src, s)
+        and not is_open_dst(table[s])))
 
 
-def _h_codomain_regular(ctx): return ctx.sy.tt.regular
-def _h_codomain_hausdorff(ctx): return ctx.sy.tt.hausdorff
+@dataclass(frozen=True)
+class Continuous:
+    """Continuity from the domain topology whose minimal neighborhoods are
+    the side table ``nb_x`` ("min_nbhd", "star_nbhd" or "psi_nbhd") to the
+    codomain topology of ``nb_y``: ``f[N(x)] <= N_Y(f(x))`` for every
+    ``x`` (``maps._continuous``).  Called on a context, it returns the least
+    ``nb_y``-open set whose preimage is not ``nb_x``-open, or None."""
+
+    nb_x: str
+    nb_y: str
+    cost = 2  # one read per point (see :func:`level_gates`)
+
+    def holds(self, ctx: _Ctx) -> bool:
+        return _continuous(ctx.img, getattr(ctx.sx, self.nb_x),
+                           getattr(ctx.sy, self.nb_y))
+
+    def __call__(self, ctx: _Ctx) -> Optional[Witness]:
+        if self.holds(ctx):
+            return None
+        nb_x = getattr(ctx.sx, self.nb_x)
+        return _witness("codomain", ctx.pre, getattr(ctx.sy, self.nb_y),
+                        lambda a: _is_open_unchecked(nb_x, a))
+
+    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
+        img, rows = ctx.img, cv[self.nb_y, "sub"]
+        hold = cv.full
+        for x, a in enumerate(getattr(ctx.sx, self.nb_x)):
+            hold &= rows[img[1 << x].bit_length() - 1][img[a]]
+        return hold
 
 
-def _h_preimage_ok(ctx):
-    return not ctx.pre[ctx.sy.carrier] & ~ctx.sx.carrier
+@dataclass(frozen=True)
+class Open:
+    """Openness from the domain topology of the side table ``nb_x`` to the
+    codomain topology whose closure table is ``cl_y`` ("cl", or "cl_star"
+    for the star topology): every ``f[N(x)]`` is open, where ``V`` is open
+    iff ``cl(Y - V) = Y - V`` (``maps._open``).  Called on a context, it
+    returns the least ``nb_x``-open set whose image is not open, or None."""
+
+    nb_x: str
+    cl_y: str
+    cost = 2
+
+    def holds(self, ctx: _Ctx) -> bool:
+        return _open(ctx.img, getattr(ctx.sx, self.nb_x),
+                     getattr(ctx.sy, self.cl_y))
+
+    def __call__(self, ctx: _Ctx) -> Optional[Witness]:
+        if self.holds(ctx):
+            return None
+        cl_y = getattr(ctx.sy, self.cl_y)
+        full = ctx.sy.full
+        return _witness("domain", ctx.img, getattr(ctx.sx, self.nb_x),
+                        lambda v: cl_y[full ^ v] == full ^ v)
+
+    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
+        img, full, rows = ctx.img, cv.full_y, cv[self.cl_y, "eq"]
+        hold = cv.full
+        for a in getattr(ctx.sx, self.nb_x):
+            closed = full ^ img[a]
+            hold &= rows[closed][closed]
+        return hold
 
 
-def _h_image_ok(ctx):
-    return not ctx.img[ctx.sx.carrier] & ~ctx.sy.carrier
+@dataclass(frozen=True)
+class Homeomorphism:
+    """A bijection that is ``cont`` and ``opens``, between the topologies
+    they name.  Its witness is the least point breaking bijectivity, or the
+    least open set breaking continuity, then openness."""
+
+    cont: Continuous
+    opens: Open
+    cost = 2
+
+    def holds(self, ctx: _Ctx) -> bool:
+        return (_bijective(ctx, ctx.sy.full) and self.cont.holds(ctx)
+                and self.opens.holds(ctx))
+
+    def __call__(self, ctx: _Ctx) -> Optional[Witness]:
+        if not _bijective(ctx, ctx.sy.full):
+            return Witness("", "codomain", "point", point=next(
+                y for y in range(ctx.sy.n)
+                if ctx.pre[1 << y].bit_count() != 1))
+        return self.cont(ctx) or self.opens(ctx)
+
+    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
+        if not _bijective(ctx, cv.full_y):
+            return 0
+        return self.cont.mask(ctx, cv) & self.opens.mask(ctx, cv)
 
 
-def _h_equivalence_ok(ctx):
-    return _h_preimage_ok(ctx) and _h_image_ok(ctx)
+def _bijective(ctx: _Ctx, full_y: int) -> bool:
+    # a map between equal point counts is bijective iff it is onto
+    return ctx.sx.n == full_y.bit_length() and ctx.img[ctx.sx.full] == full_y
 
 
-def _h_image_ideal_equal(ctx):
-    return ctx.img[ctx.sx.carrier] == ctx.sy.carrier
+_BASE_CONT = Continuous("min_nbhd", "min_nbhd")
+_BASE_OPEN = Open("min_nbhd", "cl")
+_STAR_CONT = Continuous("star_nbhd", "star_nbhd")
+_STAR_OPEN = Open("star_nbhd", "cl_star")
+_STAR_TO_BASE = Continuous("star_nbhd", "min_nbhd")
+_STAR_HOMEO = Homeomorphism(_STAR_CONT, _STAR_OPEN)
 
-
-def _h_domain_star_full(ctx): return ctx.sx.star_full
-
-
-def _h_always(ctx):
-    # compatibility and smallness-compactness; for the proofs, see
-    # ``star.is_compatible`` and ``star.is_ideal_compact``
-    return True
-
-
-def _star_to_base_continuous(ctx):
-    # from the domain star topology to the codomain base topology
-    return _continuous(ctx.img, ctx.sx.star_nbhd, ctx.sy.tt.min_nbhd)
-
-
-def _h_psi_codomain_continuous(ctx):
-    # continuity into the topology generated by codomain psi-images of opens
-    return _continuous(ctx.img, ctx.sx.tt.min_nbhd, ctx.sy.psi_nbhd)
-
-
-def _h_psi_domain_open(ctx):
-    # openness out of the topology generated by domain psi-images of opens
-    return _open(ctx.img, ctx.sx.psi_nbhd, ctx.sy.tt.cl)
-
-
-# ---------------------------------------------------------------------------
-# conclusion predicates: each returns the least offending subset, or None
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Transport:
@@ -341,56 +396,73 @@ class Transport:
 _DOMAIN_TESTS = {"<=": "sub", ">=": "sup", "==": "eq"}
 
 
-def _least_failing_open(side: str, nb_src: tuple[int, ...],
-                        nb_dst: tuple[int, ...],
-                        table: tuple[int, ...]) -> Witness:
-    """The least set open under the minimal neighborhoods ``nb_src`` whose
-    entry in ``table``, a map's image or preimage table, is not open under
-    ``nb_dst``, as a witness on ``side``; there must be one."""
-    return Witness("", side, "subset", mask=next(
-        s for s in range(len(table)) if _is_open_unchecked(nb_src, s)
-        and not _is_open_unchecked(nb_dst, table[s])))
+# ---------------------------------------------------------------------------
+# the other hypotheses
+#
+# level 1 hypotheses read the map and the two topologies; level 2 also
+# read the carriers; level 0 ones are true on every finite carrier-ideal
+# space.  The search decides level 1 once per (row, map), for every
+# carrier of the row's domain and columns at once.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Gate:
+    """A hypothesis in both forms: ``holds`` on one context, and ``mask``
+    over a row's codomain columns.  ``cost`` orders the gates of one level
+    (see :func:`level_gates`): 0 for one read of the column tables, 1 for a
+    flag of the domain and the map, 2 for one read per point."""
+
+    cost: int
+    holds: Callable[[_Ctx], bool]
+    mask: Optional[Callable[[_Ctx, _Carriers], int]] = None
 
 
-def _tc2_c(ctx):
-    # star-to-star continuity; witness is the least unpulled star-open set
-    sx, sy = ctx.sx, ctx.sy
-    if _continuous(ctx.img, sx.star_nbhd, sy.star_nbhd):
-        return None
-    return _least_failing_open("codomain", sy.star_nbhd, sx.star_nbhd,
-                               ctx.pre)
+def _injective(ctx):
+    return ctx.img[ctx.sx.full].bit_count() == ctx.sx.n
 
 
-def _open_star(ctx):
-    # star-to-star openness; witness is the least unpushed star-open set
-    sx, sy = ctx.sx, ctx.sy
-    if _open(ctx.img, sx.star_nbhd, sy.cl_star):
-        return None
-    return _least_failing_open("domain", sx.star_nbhd, sy.star_nbhd, ctx.img)
+def _m_closed(ctx, cv):
+    # the mask form of maps._closed: every f[cl{x}] is its own closure
+    img, cl, rows = ctx.img, ctx.sx.cl, cv["cl", "eq"]
+    hold = cv.full
+    for x in range(ctx.sx.n):
+        image = img[cl[1 << x]]
+        hold &= rows[image][image]
+    return hold
 
 
-def _star_homeo(ctx):
-    """Homeomorphism between the two star topologies; witness is a point
-    breaking bijectivity or the least open set breaking continuity or
-    openness."""
-    if not ctx.prof.bijective:
-        for y in range(ctx.sy.n):
-            if ctx.pre[1 << y].bit_count() != 1:
-                return Witness("", "codomain", "point", point=y)
-    return _tc2_c(ctx) or _open_star(ctx)
+def _h_preimage_ok(ctx):
+    return not ctx.pre[ctx.sy.carrier] & ~ctx.sx.carrier
 
 
-def _base_iff_star(ctx):
-    return ctx.prof.continuous == _star_to_base_continuous(ctx)
+def _m_preimage_ok(ctx, cv):
+    # f^-1 N <= M iff N misses f[X - M]
+    return cv["carrier", "disj"][ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
 
 
-def _samuels_iff(ctx):
-    """Base continuity iff star-to-base continuity; the witness is the least
-    codomain open set whose preimage is not open on the failing side."""
-    if _base_iff_star(ctx):
-        return None
-    bad = ctx.sx.star_nbhd if ctx.prof.continuous else ctx.sx.tt.min_nbhd
-    return _least_failing_open("codomain", ctx.sy.tt.min_nbhd, bad, ctx.pre)
+def _h_image_ok(ctx):
+    return not ctx.img[ctx.sx.carrier] & ~ctx.sy.carrier
+
+
+def _m_image_ok(ctx, cv):
+    return cv["carrier", "sub"][ctx.img[ctx.sx.carrier]]
+
+
+_INJECTIVE = Gate(1, _injective,
+                  lambda ctx, cv: cv.full if _injective(ctx) else 0)
+_SURJECTIVE = Gate(
+    1, lambda ctx: ctx.img[ctx.sx.full] == ctx.sy.full,
+    lambda ctx, cv: cv.full if ctx.img[ctx.sx.full] == cv.full_y else 0)
+_CLOSED = Gate(2, lambda ctx: _closed(ctx.img, ctx.sx.cl, ctx.sy.cl),
+               _m_closed)
+_PREIMAGE_OK = Gate(0, _h_preimage_ok, _m_preimage_ok)
+_IMAGE_OK = Gate(0, _h_image_ok, _m_image_ok)
+_IMAGE_IDEAL_EQUAL = Gate(
+    0, lambda ctx: ctx.img[ctx.sx.carrier] == ctx.sy.carrier,
+    lambda ctx, cv: cv["carrier", "eq"][ctx.img[ctx.sx.carrier]])
+# compatibility and smallness-compactness; for the proofs, see
+# ``star.is_compatible`` and ``star.is_ideal_compact``
+_ALWAYS = Gate(0, lambda ctx: True)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +472,14 @@ def _samuels_iff(ctx):
 @dataclass(frozen=True)
 class HypSpec:
     name: str
-    level: int  # 1: profile+codomain topology; 2: carriers too; 0: constant
-    fn: Callable[[_Ctx], bool]
+    level: int  # 1: the map and the topologies; 2: carriers too; 0: constant
+    test: Gate | Continuous | Open | Homeomorphism
 
 
 @dataclass(frozen=True)
 class ConclSpec:
     name: str
-    fail: Optional[Callable[[_Ctx], Optional[Witness]]] = None
+    fail: Optional[Continuous | Open | Homeomorphism | Transport] = None
     members: tuple[str, ...] = ()  # equivalence flag over earlier conclusions
     report: bool = True            # False: evaluated but informational only
 
@@ -429,51 +501,51 @@ class TheoremSpec:
 _SPECS = (
     TheoremSpec(
         "TC1",
-        (HypSpec("continuous", 1, _h_continuous),
-         HypSpec("preimage_ok", 2, _h_preimage_ok)),
+        (HypSpec("continuous", 1, _BASE_CONT),
+         HypSpec("preimage_ok", 2, _PREIMAGE_OK)),
         (ConclSpec("a", Transport("star", "domain", "<=")),
          ConclSpec("b", Transport("star", "codomain", "<=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
         "TC2",
-        (HypSpec("continuous", 1, _h_continuous),
-         HypSpec("preimage_ok", 2, _h_preimage_ok)),
+        (HypSpec("continuous", 1, _BASE_CONT),
+         HypSpec("preimage_ok", 2, _PREIMAGE_OK)),
         (ConclSpec("a", Transport("cl_star", "domain", "<=")),
          ConclSpec("b", Transport("cl_star", "codomain", "<=")),
-         ConclSpec("c", _tc2_c),
+         ConclSpec("c", _STAR_CONT),
          ConclSpec("equiv_abc", members=("a", "b", "c"))),
         designated="a"),
     TheoremSpec(
         "CONTPSI",
-        (HypSpec("continuous", 1, _h_continuous),
-         HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("preimage_ok", 2, _h_preimage_ok)),
+        (HypSpec("continuous", 1, _BASE_CONT),
+         HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("preimage_ok", 2, _PREIMAGE_OK)),
         (ConclSpec("a", Transport("psi", "domain", ">=")),
          ConclSpec("b", Transport("psi", "codomain", ">=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
         "TO1",
-        (HypSpec("open_map", 1, _h_open),
-         HypSpec("image_ok", 2, _h_image_ok)),
+        (HypSpec("open_map", 1, _BASE_OPEN),
+         HypSpec("image_ok", 2, _IMAGE_OK)),
         (ConclSpec("a", Transport("psi", "domain", "<=")),
          ConclSpec("b", Transport("psi", "codomain", "<=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
         designated="a"),
     TheoremSpec(
         "OPEN_STAR",
-        (HypSpec("open_map", 1, _h_open),
-         HypSpec("image_ok", 2, _h_image_ok)),
-        (ConclSpec("star_open", _open_star),),
+        (HypSpec("open_map", 1, _BASE_OPEN),
+         HypSpec("image_ok", 2, _IMAGE_OK)),
+        (ConclSpec("star_open", _STAR_OPEN),),
         designated="star_open"),
     TheoremSpec(
         "OPENBIJ",
-        (HypSpec("open_map", 1, _h_open),
-         HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("image_ok", 2, _h_image_ok)),
+        (HypSpec("open_map", 1, _BASE_OPEN),
+         HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("image_ok", 2, _IMAGE_OK)),
         (ConclSpec("a", Transport("star", "domain", ">=")),
          ConclSpec("b", Transport("star", "codomain", ">=")),
          ConclSpec("equiv_ab", members=("a", "b"))),
@@ -485,17 +557,19 @@ _SPECS = (
     # reported informationally, so a scan never evaluates it.
     TheoremSpec(
         "CLOSEDSUR",
-        (HypSpec("closed_map", 1, _h_closed),
-         HypSpec("injective", 1, _h_injective),
-         HypSpec("image_ok", 2, _h_image_ok)),
+        (HypSpec("closed_map", 1, _CLOSED),
+         HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("image_ok", 2, _IMAGE_OK)),
         (ConclSpec("a", Transport("star", "domain", ">=")),),
         designated="a",
         info=(("b", Transport("star", "codomain", ">=").holds),)),
     TheoremSpec(
         "HOMEO_COR",
-        (HypSpec("homeomorphism", 1, _h_homeomorphism),
-         HypSpec("equivalence_ok", 2, _h_equivalence_ok)),
-        (ConclSpec("a", _star_homeo),
+        (HypSpec("homeomorphism", 1, Homeomorphism(_BASE_CONT, _BASE_OPEN)),
+         HypSpec("equivalence_ok", 2, Gate(
+             0, lambda ctx: _h_preimage_ok(ctx) and _h_image_ok(ctx),
+             lambda ctx, cv: _m_preimage_ok(ctx, cv) & _m_image_ok(ctx, cv)))),
+        (ConclSpec("a", _STAR_HOMEO),
          ConclSpec("b", Transport("star", "domain", "==")),
          ConclSpec("c", Transport("star", "codomain", "==")),
          ConclSpec("d", Transport("psi", "domain", "==")),
@@ -504,34 +578,43 @@ _SPECS = (
         designated="a"),
     TheoremSpec(
         "HOMEO_HR",
-        (HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("image_ideal_equal", 2, _h_image_ideal_equal)),
+        (HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("image_ideal_equal", 2, _IMAGE_IDEAL_EQUAL)),
         # `c` follows `a_iff_b`, so mining `a_iff_b` evaluates `a` and `b` only
-        (ConclSpec("a", _star_homeo, report=False),
+        (ConclSpec("a", _STAR_HOMEO, report=False),
          ConclSpec("b", Transport("star", "domain", "=="), report=False),
          ConclSpec("a_iff_b", members=("a", "b")),
          ConclSpec("c", Transport("psi", "domain", "=="), report=False),
          ConclSpec("b_iff_c", members=("b", "c")),
          ConclSpec("a_iff_c", members=("a", "c"))),
         designated="a_iff_b"),
+    # base continuity implies star-to-base continuity, so the equivalence
+    # fails only with base continuity, at its least unpulled open set
     TheoremSpec(
         "SAMUELS",
-        (HypSpec("domain_star_full", 2, _h_domain_star_full),
-         HypSpec("codomain_regular", 1, _h_codomain_regular)),
-        (ConclSpec("cont_iff", _samuels_iff),),
-        designated="cont_iff",
-        info=(("continuous_base", _h_continuous),
-              ("continuous_star", _star_to_base_continuous))),
+        (HypSpec("domain_star_full", 2, Gate(
+            1, lambda ctx: ctx.sx.star_full,
+            lambda ctx, cv: cv.full if ctx.sx.star_full else 0)),
+         HypSpec("codomain_regular", 1, Gate(
+             0, lambda ctx: ctx.sy.tt.regular,
+             lambda ctx, cv: cv["regular"]))),
+        (ConclSpec("continuous_base", _BASE_CONT, report=False),
+         ConclSpec("continuous_star", _STAR_TO_BASE, report=False),
+         ConclSpec("cont_iff",
+                   members=("continuous_base", "continuous_star"))),
+        designated="cont_iff"),
     TheoremSpec(
         "JHCOMP",
-        (HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("ideal_compact", 0, _h_always),
-         HypSpec("codomain_hausdorff", 1, _h_codomain_hausdorff),
-         HypSpec("image_ideal_equal", 2, _h_image_ideal_equal),
-         HypSpec("star_to_base_continuous", 2, _star_to_base_continuous)),
-        (ConclSpec("star_homeomorphism", _star_homeo),),
+        (HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("ideal_compact", 0, _ALWAYS),
+         HypSpec("codomain_hausdorff", 1, Gate(
+             0, lambda ctx: ctx.sy.tt.hausdorff,
+             lambda ctx, cv: cv["hausdorff"])),
+         HypSpec("image_ideal_equal", 2, _IMAGE_IDEAL_EQUAL),
+         HypSpec("star_to_base_continuous", 2, _STAR_TO_BASE)),
+        (ConclSpec("star_homeomorphism", _STAR_HOMEO),),
         designated="star_homeomorphism"),
     # By exhaustive search up to three points a side, dropping `injective`
     # or `surjective` here yields a counterexample.  The open dual HR35
@@ -545,20 +628,21 @@ _SPECS = (
     # Bijectivity is never used.
     TheoremSpec(
         "HR34",
-        (HypSpec("psi_codomain_continuous", 2, _h_psi_codomain_continuous),
-         HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("codomain_compatible", 0, _h_always),
-         HypSpec("preimage_ok", 2, _h_preimage_ok)),
+        (HypSpec("psi_codomain_continuous", 2,
+                 Continuous("min_nbhd", "psi_nbhd")),
+         HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("codomain_compatible", 0, _ALWAYS),
+         HypSpec("preimage_ok", 2, _PREIMAGE_OK)),
         (ConclSpec("a", Transport("psi", "domain", ">=")),),
         designated="a"),
     TheoremSpec(
         "HR35",
-        (HypSpec("psi_domain_open", 2, _h_psi_domain_open),
-         HypSpec("injective", 1, _h_injective),
-         HypSpec("surjective", 1, _h_surjective),
-         HypSpec("domain_compatible", 0, _h_always),
-         HypSpec("image_ok", 2, _h_image_ok)),
+        (HypSpec("psi_domain_open", 2, Open("psi_nbhd", "cl")),
+         HypSpec("injective", 1, _INJECTIVE),
+         HypSpec("surjective", 1, _SURJECTIVE),
+         HypSpec("domain_compatible", 0, _ALWAYS),
+         HypSpec("image_ok", 2, _IMAGE_OK)),
         (ConclSpec("a", Transport("psi", "domain", "<=")),),
         designated="a"),
 )
@@ -568,11 +652,14 @@ ALL_THEOREM_IDS: tuple[str, ...] = tuple(s.theorem_id for s in _SPECS)
 
 
 def spec_for(theorem_id: str) -> TheoremSpec:
-    try:
-        return THEOREMS[theorem_id.upper()]
-    except KeyError:
+    """The theorem's spec, by case-insensitive id; refuses anything else,
+    a non-string included, with :class:`UnknownTheorem`."""
+    spec = (THEOREMS.get(theorem_id.upper())
+            if isinstance(theorem_id, str) else None)
+    if spec is None:
         raise UnknownTheorem(
             f"unknown theorem {theorem_id!r}; known: {', '.join(ALL_THEOREM_IDS)}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +670,22 @@ def _concl_results(spec: TheoremSpec, ctx: _Ctx
                    ) -> Iterator[tuple[ConclSpec, Optional[Witness]]]:
     """Each conclusion with its witness (None when it holds), in
     declaration order.  An equivalence holds when its members all hold or
-    all fail, and otherwise takes the witness of its first failing member."""
-    fails: dict[str, Optional[Witness]] = {}
+    all fail, and otherwise takes the witness of its first failing member.
+    An unreported conclusion is only decided, and yields itself when it
+    fails: its witness is searched for when an equivalence takes it."""
+    fails: dict[str, object] = {}
     for c in spec.concls:
         if c.members:
-            bad = [fails[m] for m in c.members if fails[m] is not None]
-            w = bad[0] if 0 < len(bad) < len(c.members) else None
-        else:
+            bad = [m for m in c.members if fails[m] is not None]
+            w = None
+            if 0 < len(bad) < len(c.members):
+                w = fails[bad[0]]
+                if isinstance(w, ConclSpec):
+                    w = fails[bad[0]] = w.fail(ctx)
+        elif c.report:
             w = fails[c.name] = c.fail(ctx)
+        else:
+            w = fails[c.name] = None if c.fail.holds(ctx) else c
         yield c, w
 
 
@@ -609,7 +704,7 @@ def _select_witness(results) -> Optional[Witness]:
     if not candidates:
         return None
     _, name, w = min(candidates, key=lambda kv: kv[0])
-    return dataclasses.replace(w, conclusion=name)
+    return Witness(name, w.side, w.kind, w.mask, w.point)
 
 
 def check(theorem_id: str, inst: Instance) -> Verdict:
@@ -620,7 +715,7 @@ def check(theorem_id: str, inst: Instance) -> Verdict:
 
 
 def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
-    hyp_flags = tuple((h.name, h.fn(ctx)) for h in spec.hyps)
+    hyp_flags = tuple((h.name, h.test.holds(ctx)) for h in spec.hyps)
     results = list(_concl_results(spec, ctx))
     conclusions = tuple((c.name, w is None) for c, w in results if c.report)
     info = tuple((c.name, w is None) for c, w in results if not c.report)
@@ -640,7 +735,7 @@ def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
 
 def hypotheses_pass(spec: TheoremSpec, ctx: _Ctx, dropped: frozenset[str],
                     level: int) -> bool:
-    return all(h.fn(ctx) for h in spec.hyps
+    return all(h.test.holds(ctx) for h in spec.hyps
                if h.level == level and h.name not in dropped)
 
 
@@ -659,159 +754,14 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
 # the same decisions as masks over a row's codomain columns (see
 # :class:`star._Carriers`), with the domain side and the map fixed in ``ctx``
 
-def _m_preimage_ok(ctx, cv):
-    # f^-1 N <= M iff N misses f[X - M]
-    return cv["carrier", "disj"][ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
-
-
-def _m_image_ok(ctx, cv):
-    return cv["carrier", "sub"][ctx.img[ctx.sx.carrier]]
-
-
-def _m_equivalence_ok(ctx, cv):
-    return _m_preimage_ok(ctx, cv) & _m_image_ok(ctx, cv)
-
-
-def _m_image_ideal_equal(ctx, cv):
-    return cv["carrier", "eq"][ctx.img[ctx.sx.carrier]]
-
-
-def _continuous_mask(ctx, cv, nb_x: tuple[int, ...], nb_y: str) -> int:
-    # the mask form of maps._continuous into the columns' per-point table
-    # ``nb_y`` of minimal neighborhoods: f[N(x)] <= N_Y(f(x))
-    img, rows = ctx.img, cv[nb_y, "sub"]
-    hold = cv.full
-    for x, a in enumerate(nb_x):
-        hold &= rows[img[1 << x].bit_length() - 1][img[a]]
-    return hold
-
-
-def _open_mask(ctx, cv, nb_x: tuple[int, ...]) -> int:
-    # the mask form of maps._open into the columns' topologies:
-    # V = f[N(x)] is open iff cl(Y - V) = Y - V
-    img, full, rows = ctx.img, cv.full_y, cv["cl", "eq"]
-    hold = cv.full
-    for a in nb_x:
-        closed = full ^ img[a]
-        hold &= rows[closed][closed]
-    return hold
-
-
-def _m_continuous(ctx, cv):
-    return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "min_nbhd")
-
-
-def _m_open(ctx, cv):
-    return _open_mask(ctx, cv, ctx.sx.tt.min_nbhd)
-
-
-def _m_closed(ctx, cv):
-    # closed sets are the unions of point closures, so f is closed iff
-    # every f[cl{x}] is its own closure
-    img, cl, rows = ctx.img, ctx.sx.tt.cl, cv["cl", "eq"]
-    hold = cv.full
-    for x in range(ctx.sx.n):
-        image = img[cl[1 << x]]
-        hold &= rows[image][image]
-    return hold
-
-
-def _m_injective(ctx, cv):
-    return cv.full if ctx.img[ctx.sx.full].bit_count() == ctx.sx.n else 0
-
-
-def _m_surjective(ctx, cv):
-    return cv.full if ctx.img[ctx.sx.full] == cv.full_y else 0
-
-
-def _m_homeomorphism(ctx, cv):
-    if not (_m_injective(ctx, cv) and _m_surjective(ctx, cv)):
-        return 0
-    return _m_continuous(ctx, cv) & _m_open(ctx, cv)
-
-
-def _m_psi_codomain_continuous(ctx, cv):
-    return _continuous_mask(ctx, cv, ctx.sx.tt.min_nbhd, "psi_nbhd")
-
-
-def _m_star_to_base_continuous(ctx, cv):
-    return _continuous_mask(ctx, cv, ctx.sx.star_nbhd, "min_nbhd")
-
-
-def _m_psi_domain_open(ctx, cv):
-    return _open_mask(ctx, cv, ctx.sx.psi_nbhd)
-
-
-def _m_star_continuous(ctx, cv):
-    return _continuous_mask(ctx, cv, ctx.sx.star_nbhd, "star_nbhd")
-
-
-def _m_star_open(ctx, cv):
-    # V = f[N*(x)] is star-open iff it misses the local function of Y - V
-    img, full, rows = ctx.img, cv.full_y, cv["star", "disj"]
-    hold = cv.full
-    for a in ctx.sx.star_nbhd:
-        hold &= rows[full ^ img[a]][img[a]]
-    return hold
-
-
-def _m_star_homeo(ctx, cv):
-    # a map between equal point counts is bijective iff it is onto
-    if ctx.sx.n != cv.n or ctx.img[ctx.sx.full] != cv.full_y:
-        return 0
-    return _m_star_continuous(ctx, cv) & _m_star_open(ctx, cv)
-
-
-def _m_base_iff_star(ctx, cv):
-    # the positions where base continuity, f[N(x)] <= N_Y(f(x)), agrees
-    # with star-to-base continuity
-    return cv.full & ~(_m_continuous(ctx, cv)
-                       ^ _m_star_to_base_continuous(ctx, cv))
-
-
-# the mask form of every level-1 hypothesis, in the order a gate evaluates
-# them: per-column constants and domain-only flags, then one read per point
-_LEVEL1_MASKS = {
-    _h_codomain_regular: lambda ctx, cv: cv["regular"],
-    _h_codomain_hausdorff: lambda ctx, cv: cv["hausdorff"],
-    _h_injective: _m_injective,
-    _h_surjective: _m_surjective,
-    _h_homeomorphism: _m_homeomorphism,
-    _h_continuous: _m_continuous,
-    _h_open: _m_open,
-    _h_closed: _m_closed,
-}
-
-# the mask form of every level-2 hypothesis, in the order a gate evaluates
-# them: single table reads and the domain flag, then one read per point
-_GATE_MASKS = {
-    _h_preimage_ok: _m_preimage_ok,
-    _h_image_ok: _m_image_ok,
-    _h_equivalence_ok: _m_equivalence_ok,
-    _h_image_ideal_equal: _m_image_ideal_equal,
-    _h_domain_star_full: lambda ctx, cv: cv.full if ctx.sx.star_full else 0,
-    _h_psi_codomain_continuous: _m_psi_codomain_continuous,
-    _star_to_base_continuous: _m_star_to_base_continuous,
-    _h_psi_domain_open: _m_psi_domain_open,
-}
-
-# the mask form of every conclusion that is not a declaration
-_CONCL_MASKS = {
-    _tc2_c: _m_star_continuous,
-    _open_star: _m_star_open,
-    _star_homeo: _m_star_homeo,
-    _samuels_iff: _m_base_iff_star,
-}
-
-
 def level_gates(spec: TheoremSpec, dropped: frozenset[str],
                 level: int) -> tuple:
     """The mask forms of the theorem's hypotheses of ``level`` (1 or 2)
-    not dropped."""
-    fns = {h.fn for h in spec.hyps
-           if h.level == level and h.name not in dropped}
-    masks = _LEVEL1_MASKS if level == 1 else _GATE_MASKS
-    return tuple(m for fn, m in masks.items() if fn in fns)
+    not dropped, the cheaper first: constants per column and flags of the
+    domain and the map, then reads per point (``cost``)."""
+    hyps = [h.test for h in spec.hyps
+            if h.level == level and h.name not in dropped]
+    return tuple(t.mask for t in sorted(hyps, key=lambda t: t.cost))
 
 
 def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers, live: int) -> int:
@@ -838,9 +788,7 @@ def violations_mask(spec: TheoremSpec, mode: str, ctx: _Ctx, cv: _Carriers,
                 all_ &= fails[m]
             bad = some & ~all_
         else:
-            mask = (c.fail.mask if isinstance(c.fail, Transport)
-                    else _CONCL_MASKS[c.fail])
-            bad = fails[c.name] = live & ~mask(ctx, cv)
+            bad = fails[c.name] = live & ~c.fail.mask(ctx, cv)
         if mode == "verify":
             if c.report:
                 out |= bad

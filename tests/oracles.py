@@ -13,11 +13,16 @@ from functools import lru_cache
 from itertools import combinations
 
 from idealtop import theorems as thm
-from idealtop.maps import _PROFILES, _check_dims, image_table, preimage_table
+from idealtop.maps import MapProfile, _check_dims, image_table, preimage_table
 from idealtop.search import _violated
 from idealtop.star import _side_tables
-from idealtop.theorems import (Transport, Witness, _open_star, _samuels_iff,
-                               _star_homeo, _tc2_c)
+from idealtop.theorems import (Continuous, Homeomorphism, Open, Transport,
+                               Witness)
+
+# the star topology's continuity, openness and homeomorphism declarations
+STAR_CONT = Continuous("star_nbhd", "star_nbhd")
+STAR_OPEN = Open("star_nbhd", "cl_star")
+STAR_HOMEO = Homeomorphism(STAR_CONT, STAR_OPEN)
 
 
 def full(n: int) -> int:
@@ -286,7 +291,7 @@ def sub(a: int, b: int) -> bool:
 
 
 # holds-at predicates (X, Y, f, subset) with X, Y the sides' Ops, keyed by
-# the conclusion they mirror: a declaration or a checker
+# the declaration they mirror
 HOLDS_ON_DOMAIN = {
     Transport("star", "domain", "<="): lambda X, Y, f, a: sub(
         f.image(X.star(a)), Y.star(f.image(a))),
@@ -302,10 +307,10 @@ HOLDS_ON_DOMAIN = {
         f.image(X.star(a)) == Y.star(f.image(a))),
     Transport("psi", "domain", "=="): lambda X, Y, f, a: (
         Y.psi(f.image(a)) == f.image(X.psi(a))),
-    _open_star: lambda X, Y, f, u: (not X.star_open(u)
+    STAR_OPEN: lambda X, Y, f, u: (not X.star_open(u)
+                                   or Y.star_open(f.image(u))),
+    STAR_HOMEO: lambda X, Y, f, u: (not X.star_open(u)
                                     or Y.star_open(f.image(u))),
-    _star_homeo: lambda X, Y, f, u: (not X.star_open(u)
-                                     or Y.star_open(f.image(u))),
 }
 HOLDS_ON_CODOMAIN = {
     Transport("star", "codomain", "<="): lambda X, Y, f, b: sub(
@@ -322,13 +327,15 @@ HOLDS_ON_CODOMAIN = {
         f.preimage(Y.star(b)) == X.star(f.preimage(b))),
     Transport("psi", "codomain", "=="): lambda X, Y, f, b: (
         f.preimage(Y.psi(b)) == X.psi(f.preimage(b))),
-    _tc2_c: lambda X, Y, f, o: (not Y.star_open(o)
-                                or X.star_open(f.preimage(o))),
-    _star_homeo: lambda X, Y, f, o: (not Y.star_open(o)
-                                     or X.star_open(f.preimage(o))),
-    # base continuity fails at o (star-to-base continuity is implied by it)
-    _samuels_iff: lambda X, Y, f, o: (o not in Y.opens
-                                      or f.preimage(o) in X.opens),
+    STAR_CONT: lambda X, Y, f, o: (not Y.star_open(o)
+                                   or X.star_open(f.preimage(o))),
+    STAR_HOMEO: lambda X, Y, f, o: (not Y.star_open(o)
+                                    or X.star_open(f.preimage(o))),
+    # base continuity, and star-to-base continuity, fail at o
+    Continuous("min_nbhd", "min_nbhd"): lambda X, Y, f, o: (
+        o not in Y.opens or f.preimage(o) in X.opens),
+    Continuous("star_nbhd", "min_nbhd"): lambda X, Y, f, o: (
+        o not in Y.opens or X.star_open(f.preimage(o))),
 }
 
 
@@ -345,8 +352,8 @@ def classify_by_is_open(f, t_dom, t_cod):
     open_map = all(t_cod.is_open(img[u]) for u in t_dom.opens())
     full = t_dom.full
     closed_map = all(t_cod.is_closed(img[full & ~u]) for u in t_dom.opens())
-    return _PROFILES[continuous, open_map, closed_map, f.injective,
-                     f.surjective]
+    return MapProfile(continuous, open_map, closed_map, f.injective,
+                      f.surjective)
 
 
 @lru_cache(maxsize=None)
@@ -371,35 +378,44 @@ def _unpulled(opens, targets, table):
 
 
 def predicates_by_walk(inst) -> dict:
-    """The seven predicates the package decides on minimal neighborhoods,
-    by the open-set walks it replaced, keyed by the package's predicate: a
-    witness or None for the four conclusions, a flag for the three
-    hypotheses."""
+    """Each continuity, openness and homeomorphism declaration of the
+    registry, with its witness or None by the open-set walks the package
+    replaced: a continuity witness is the least codomain open set whose
+    preimage is not open, an openness witness the least domain open set
+    whose image is not open."""
     f = inst.f
     img, pre = image_table(f), preimage_table(f)
-    xb, xs, xp = walked_families(inst.X.top.min_nbhd, inst.X.ideal.carrier)
-    yb, ys, yp = walked_families(inst.Y.top.min_nbhd, inst.Y.ideal.carrier)
+    names = ("min_nbhd", "star_nbhd", "psi_nbhd")
+    xo = dict(zip(names, walked_families(inst.X.top.min_nbhd,
+                                         inst.X.ideal.carrier)))
+    yo = dict(zip(names, walked_families(inst.Y.top.min_nbhd,
+                                         inst.Y.ideal.carrier)))
+    # an open family by the name of a topology's closure table
+    xo["cl"], xo["cl_star"] = xo["min_nbhd"], xo["star_nbhd"]
+    yo["cl"], yo["cl_star"] = yo["min_nbhd"], yo["star_nbhd"]
 
     def witness(side, mask):
         return None if mask is None else Witness("", side, "subset", mask=mask)
 
-    tc2_c = witness("codomain", _unpulled(ys, set(xs), pre))
-    open_star = witness("domain", _unpulled(xs, set(ys), img))
-    homeo = tc2_c or open_star
-    if not f.bijective:
-        homeo = Witness("", "codomain", "point", point=next(
-            y for y in range(f.n_cod) if pre[1 << y].bit_count() != 1))
-    base = _unpulled(yb, set(xb), pre) is None
-    star_to_base = _unpulled(yb, set(xs), pre) is None
-    samuels = None if base == star_to_base else witness(
-        "codomain", _unpulled(yb, set(xs if base else xb), pre))
-    return {
-        _tc2_c: tc2_c, _open_star: open_star, _star_homeo: homeo,
-        _samuels_iff: samuels,
-        thm._star_to_base_continuous: star_to_base,
-        thm._h_psi_codomain_continuous: _unpulled(yp, set(xb), pre) is None,
-        thm._h_psi_domain_open: _unpulled(xp, set(yb), img) is None,
-    }
+    def cont(nb_x, nb_y):
+        return witness("codomain", _unpulled(yo[nb_y], set(xo[nb_x]), pre))
+
+    def opens(nb_x, cl_y):
+        return witness("domain", _unpulled(xo[nb_x], set(yo[cl_y]), img))
+
+    out = {Continuous(a, b): cont(a, b)
+           for a, b in (("min_nbhd", "min_nbhd"), ("star_nbhd", "star_nbhd"),
+                        ("star_nbhd", "min_nbhd"), ("min_nbhd", "psi_nbhd"))}
+    out |= {Open(a, b): opens(a, b)
+            for a, b in (("min_nbhd", "cl"), ("star_nbhd", "cl_star"),
+                         ("psi_nbhd", "cl"))}
+    unhit = None if f.bijective else Witness(
+        "", "codomain", "point",
+        point=next(y for y in range(f.n_cod) if pre[1 << y].bit_count() != 1))
+    for c, o in ((Continuous("min_nbhd", "min_nbhd"), Open("min_nbhd", "cl")),
+                 (STAR_CONT, STAR_OPEN)):
+        out[Homeomorphism(c, o)] = unhit or out[c] or out[o]
+    return out
 
 
 def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
@@ -409,13 +425,11 @@ def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
     violating candidate in one topology-pair block, over the given domain
     and codomain carriers, or None."""
     tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-    profs = [thm.classify(f, tx, ty) for f in ws.maps]
-    ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), ws.imgs[0],
-                   ws.pres[0], profs[0])
+    ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), None, None)
     violated = _violated(mode)
     best = None
-    for fi, prof in enumerate(profs):
-        ctx.img, ctx.pre, ctx.prof = ws.imgs[fi], ws.pres[fi], prof
+    for fi in range(len(ws.maps)):
+        ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
         for mx in mx_range:

@@ -63,17 +63,6 @@ def test_profile_derived_flags(sierp):
     assert not prof.bijective and not prof.homeomorphism
 
 
-def test_profiles_are_interned():
-    profiles = [classify(f, t_dom, t_cod)
-                for t_dom in enumerate_topologies(2)
-                for t_cod in enumerate_topologies(2)
-                for f in enumerate_maps(2, 2)]
-    by_flags = {}
-    for prof in profiles:
-        assert by_flags.setdefault(prof, prof) is prof
-    assert len({id(prof) for prof in profiles}) == len(by_flags) <= 32
-
-
 @pytest.mark.parametrize("n_dom,n_cod", [(1, 1), (1, 2), (2, 1), (2, 2),
                                          (2, 3), (3, 2), (3, 3)])
 def test_five_continuity_characterizations_agree(n_dom, n_cod):
@@ -120,5 +109,5 @@ def test_classify_matches_the_validated_openness_tests():
     triples += [(rng.choice(maps), rng.choice(tops), rng.choice(tops))
                 for _ in range(5_000)]
     for f, t_dom, t_cod in triples:
-        assert classify(f, t_dom, t_cod) is oracles.classify_by_is_open(
+        assert classify(f, t_dom, t_cod) == oracles.classify_by_is_open(
             f, t_dom, t_cod), (f, t_dom, t_cod)

@@ -234,13 +234,13 @@ def test_carrier_scan_keeps_only_representative_blocks():
     assert [len(ws.maps), len(ws.imgs), len(ws.pres)] == [27, 27, 27]
 
 
-# each flag of a map's classification with the level-1 mask form that
-# decides it
-PROFILE_MASKS = {"continuous": search.thm._m_continuous,
-                 "open_map": search.thm._m_open,
-                 "closed_map": search.thm._m_closed,
-                 "injective": search.thm._m_injective,
-                 "surjective": search.thm._m_surjective}
+# each flag of a map's classification with the mask form of the level-1
+# hypothesis that decides it
+PROFILE_MASKS = {"continuous": search.thm._BASE_CONT.mask,
+                 "open_map": search.thm._BASE_OPEN.mask,
+                 "closed_map": search.thm._CLOSED.mask,
+                 "injective": search.thm._INJECTIVE.mask,
+                 "surjective": search.thm._SURJECTIVE.mask}
 
 
 def mask_profiles_match_classify(ws, blocks):
@@ -249,8 +249,7 @@ def mask_profiles_match_classify(ws, blocks):
     cv = search._columns(ws.tops_y[0].n, (0,))
     for ix, iy in blocks:
         tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-        ctx = search.thm._Ctx(star._side_tables(tx, 0), None, None, None,
-                              None)
+        ctx = search.thm._Ctx(star._side_tables(tx, 0), None, None, None)
         for f, img in zip(ws.maps, ws.imgs):
             ctx.img = img
             flags = {name: bool(mask(ctx, cv) >> iy & 1)
@@ -407,6 +406,20 @@ def test_sampling_refuses_a_sample_or_seed_that_is_not_an_integer(
         sample_search("TC1", **{"sample": 50, "seed": 1, **bad})
 
 
+@pytest.mark.parametrize("dropped", ["continuous", ""])
+def test_a_string_of_dropped_hypotheses_is_refused(monkeypatch, dropped):
+    # "continuous" was read as its letters and refused as unknown names
+    def no_scan(*args):
+        raise AssertionError("scanned before the names were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    monkeypatch.setattr(search, "_workspace", no_scan)
+    with pytest.raises(BadSearchOption):
+        find_counterexample("TC1", dropped, SearchBounds(2, 2))
+    with pytest.raises(BadSearchOption):
+        sample_search("TC1", dropped, sample=5, seed=0)
+
+
 def test_sampling_reports_its_gate_funnel():
     r = sample_search("TC1", bounds=SearchBounds(3, 3), sample=300, seed=0,
                       mode="verify")
@@ -417,8 +430,8 @@ def test_sampling_reports_its_gate_funnel():
 
 
 def test_sampling_at_four_points_classifies_once_per_draw(monkeypatch):
-    # each draw classifies its own map; no workspace builds a profile table,
-    # so the stub never reaches its limit
+    # the scalar hypotheses read the side and map tables, so no draw
+    # classifies its map, where each draw classified its own
     calls = []
     classify = search.thm.classify
 
@@ -431,7 +444,7 @@ def test_sampling_at_four_points_classifies_once_per_draw(monkeypatch):
     monkeypatch.setattr(search.thm, "classify", counted)
     r = sample_search("TC1", bounds=SearchBounds(4, 4), sample=200, seed=7)
     assert r.sampled and r.instances_checked == 200
-    assert 0 < len(calls) <= 200
+    assert calls == []
 
 
 def test_counterexample_is_canonically_least():
@@ -633,30 +646,22 @@ def contexts_of_rows(bounds, carriers):
         ws = search._workspace(*pair)
         cv = search._columns(pair[1], carriers)
         for ix, xs in rows(ws, carriers):
-            tx = ws.tops_x[ix]
-            profs = [[search.thm.classify(f, tx, ws.tops_y[iy])
-                      for f in ws.maps]
-                     for iy, ys in search._blocks(pair[1], carriers)
-                     for _ in ys]
             for fi in range(len(ws.maps)):
                 for mx in xs:
                     sx = star._side_tables(ws.tops_x[ix], mx)
-                    ctx = search.thm._Ctx(sx, None, ws.imgs[fi],
-                                          ws.pres[fi], None)
+                    ctx = search.thm._Ctx(sx, None, ws.imgs[fi], ws.pres[fi])
                     yield ctx, cv, [
-                        search.thm._Ctx(sx, sy, ws.imgs[fi], ws.pres[fi],
-                                        prof[fi])
-                        for sy, prof in zip(cv.sides, profs)]
+                        search.thm._Ctx(sx, sy, ws.imgs[fi], ws.pres[fi])
+                        for sy in cv.sides]
 
 
-# the mask forms that read the codomain topology, with their scalar forms
-TOPOLOGY_MASKS = [
-    (search.thm._m_star_to_base_continuous,
-     search.thm._star_to_base_continuous),
-    (search.thm._m_psi_domain_open, search.thm._h_psi_domain_open),
-    (search.thm._m_base_iff_star, search.thm._base_iff_star),
-    (search.thm._m_star_homeo, lambda ctx: search.thm._star_homeo(ctx) is None),
-]
+# the continuity, openness and homeomorphism declarations of the registry,
+# whose mask forms read the codomain topology
+TOPOLOGY_MASKS = sorted(
+    {t for spec in THEOREMS.values()
+     for t in [h.test for h in spec.hyps] + [c.fail for c in spec.concls]
+     if isinstance(t, (search.thm.Continuous, search.thm.Open,
+                       search.thm.Homeomorphism))}, key=repr)
 
 
 @pytest.mark.parametrize("bounds,labeled", [(SearchBounds(3, 3), False),
@@ -665,17 +670,19 @@ def test_topology_mask_forms_match_their_scalar_predicates(bounds, labeled):
     carriers = all_carriers(bounds) if labeled else None
     checked = 0
     for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
-        for mask, scalar in TOPOLOGY_MASKS:
-            assert mask(ctx, cv) == sum(
-                1 << pos for pos, one in enumerate(scalars) if scalar(one))
+        for decl in TOPOLOGY_MASKS:
+            assert decl.mask(ctx, cv) == sum(
+                1 << pos for pos, one in enumerate(scalars)
+                if decl.holds(one)), decl
         checked += len(scalars)
     # every representative instance up to (3,3), and every labeled one up
     # to (2,2)
     assert checked == (88_808 if not labeled else 1_124)
 
 
-# the mask form of each level-1 hypothesis, with its scalar form
-LEVEL1_MASKS = list(search.thm._LEVEL1_MASKS.items())
+# each level-1 hypothesis of the registry, in its two forms
+LEVEL1_MASKS = sorted({h.test for spec in THEOREMS.values() for h in spec.hyps
+                       if h.level == 1}, key=repr)
 
 
 @pytest.mark.parametrize("bounds,labeled", [(SearchBounds(3, 3), False),
@@ -684,9 +691,10 @@ def test_level1_mask_forms_match_their_scalar_predicates(bounds, labeled):
     carriers = all_carriers(bounds) if labeled else None
     checked = 0
     for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
-        for scalar, mask in LEVEL1_MASKS:
-            assert mask(ctx, cv) == sum(
-                1 << pos for pos, one in enumerate(scalars) if scalar(one))
+        for test in LEVEL1_MASKS:
+            assert test.mask(ctx, cv) == sum(
+                1 << pos for pos, one in enumerate(scalars)
+                if test.holds(one)), test
         checked += len(scalars)
     # every representative instance up to (3,3), and every labeled one up
     # to (2,2)

@@ -1,7 +1,6 @@
 """Verdicts, the checker registry, and the counterexample constructions."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +15,9 @@ from idealtop import (ALL_THEOREM_IDS, BadPoint, CapExceeded, FiniteMap,
 from idealtop.cli import _closed_twin_collapse_instance
 from idealtop import theorems as thm
 from idealtop.errors import DimensionMismatch
-from idealtop.search import (enumerate_ideals, enumerate_maps,
-                             enumerate_topologies)
+from idealtop.search import (SearchBounds, _workspace, enumerate_ideals,
+                             enumerate_maps, enumerate_topologies,
+                             verify_exhaustive)
 from idealtop.star import _side_tables
 
 
@@ -73,14 +73,14 @@ def instances_up_to(n):
 
 
 def test_quantified_conclusions_match_their_definitions():
-    # each declaration, and the two star-openness checkers, holds iff its
-    # definitional predicate holds at every subset of the quantified side,
-    # and otherwise names the least subset where it fails
+    # each transport declaration, and star continuity and openness, holds
+    # iff its definitional predicate holds at every subset of the
+    # quantified side, and otherwise names the least subset where it fails
     transports = {c.fail for spec in thm.THEOREMS.values()
                   for c in spec.concls if isinstance(c.fail, thm.Transport)}
     assert len(transports) == 14
     sides = [(t, t.side) for t in sorted(transports, key=repr)]
-    sides += [(thm._tc2_c, "codomain"), (thm._open_star, "domain")]
+    sides += [(oracles.STAR_CONT, "codomain"), (oracles.STAR_OPEN, "domain")]
     count = 0
     for inst in instances_up_to(2):
         ctx = thm._ctx_for(inst)
@@ -114,13 +114,22 @@ def walk_instances():
 
 
 def test_neighborhood_forms_match_the_open_set_walks():
-    # the seven predicates decided on minimal neighborhoods, witnesses
-    # included, against the walks over open families they replaced
+    # every continuity, openness and homeomorphism declaration, decided on
+    # minimal neighborhoods, with its witness and its flag, against the
+    # walks over open families it replaced
+    decls = {t for spec in thm.THEOREMS.values()
+             for t in [h.test for h in spec.hyps]
+             + [c.fail for c in spec.concls]
+             if isinstance(t, (thm.Continuous, thm.Open, thm.Homeomorphism))}
+    assert len(decls) == 9
     count = 0
     for inst in walk_instances():
         ctx = thm._ctx_for(inst)
-        for fn, want in oracles.predicates_by_walk(inst).items():
-            assert fn(ctx) == want, (fn.__name__, inst)
+        walked = oracles.predicates_by_walk(inst)
+        assert walked.keys() == decls
+        for decl, want in walked.items():
+            assert decl(ctx) == want, (decl, inst)
+            assert decl.holds(ctx) == (want is None), (decl, inst)
         count += 1
     assert count == 1124 + 5_000
 
@@ -157,13 +166,25 @@ def test_check_all_classifies_the_map_once_per_instance(monkeypatch):
                  Instance(y, x, FiniteMap(2, 2, (1, 1)))):
         for tid in ALL_THEOREM_IDS:
             check(tid, inst)
-    assert len(calls) == 2
+    # the hypotheses read the side and map tables, so no map is classified,
+    # where each instance's map was classified once
+    assert calls == []
 
 
 def test_unknown_theorem():
     inst = identity_instance(IdealSpace(sierpinski(), Ideal(2, 0)))
     with pytest.raises(UnknownTheorem):
         check("NOPE", inst)
+
+
+@pytest.mark.parametrize("theorem_id", [7, None, ("TC1",), b"TC1"])
+def test_a_theorem_id_that_is_not_a_string_is_unknown(theorem_id):
+    # 7 and None raised a bare AttributeError from ``upper``
+    inst = identity_instance(IdealSpace(sierpinski(), Ideal(2, 0)))
+    with pytest.raises(UnknownTheorem):
+        check(theorem_id, inst)
+    with pytest.raises(UnknownTheorem):
+        verify_exhaustive(theorem_id, SearchBounds(1, 1))
 
 
 def test_instance_dimension_mismatch():
@@ -371,35 +392,67 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
     assert info_names == ["a", "b", "c"]
 
 
-def test_every_level2_hypothesis_has_a_mask_form():
-    # the search gates a block's codomain carriers through these alone
+def test_every_gated_hypothesis_and_conclusion_has_a_mask_form():
+    # the search decides the gates and the conclusions through these alone
     for spec in thm.THEOREMS.values():
         for h in spec.hyps:
-            assert (h.fn in thm._GATE_MASKS) == (h.level == 2), (
+            assert callable(h.test.mask) == (h.level in (1, 2)), (
                 spec.theorem_id, h.name)
-
-
-def test_every_level1_hypothesis_has_a_mask_form():
-    # the search decides the level-1 gate through these alone
-    for spec in thm.THEOREMS.values():
-        for h in spec.hyps:
-            assert (h.fn in thm._LEVEL1_MASKS) == (h.level == 1), (
-                spec.theorem_id, h.name)
+        for c in spec.concls:
+            if not c.members:
+                assert callable(c.fail.mask), (spec.theorem_id, c.name)
 
 
 def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
     # the search decides the level-1 gate once per (row, map) for every
-    # carrier, so no level-1 predicate may read the carriers; the scalar
-    # forms read only the profile and the codomain topology, as a context
-    # holding nothing else shows
-    for top in enumerate_topologies(3):
-        tt = _side_tables(top, 0).tt
-        for prof in thm.maps_mod._PROFILES.values():
-            bare = thm._Ctx(None, SimpleNamespace(tt=tt), None, None, prof)
-            full = thm._Ctx(_side_tables(top, 0), _side_tables(top, 5),
-                            (), (), prof)
-            for spec in thm.THEOREMS.values():
-                for h in spec.hyps:
-                    if h.level == 1:
-                        assert h.fn(bare) == h.fn(full), (spec.theorem_id,
-                                                          h.name)
+    # carrier, so no level-1 hypothesis may read the carriers: its scalar
+    # form gives the same value for every pair of carriers, on every
+    # (topology, topology, map) up to (3,2) and (2,3)
+    level1 = {h.test for spec in thm.THEOREMS.values() for h in spec.hyps
+              if h.level == 1}
+    assert len(level1) == 8
+    for n_dom, n_cod in SearchBounds(3, 3).size_pairs()[:-1]:
+        ws = _workspace(n_dom, n_cod)
+        for tx in ws.tops_x:
+            for ty in ws.tops_y:
+                for img, pre in zip(ws.imgs, ws.pres):
+                    for test in level1:
+                        assert len({test.holds(thm._Ctx(
+                            _side_tables(tx, mx), _side_tables(ty, my),
+                            img, pre))
+                            for mx in range(1 << n_dom)
+                            for my in range(1 << n_cod)}) == 1, (test, tx, ty)
+
+
+# each theorem's level-1 and level-2 gates, by hypothesis name, in the
+# order the search evaluates them: constants per column and flags of the
+# domain and the map first, reads per point after
+GATE_ORDER = {
+    "TC1": (["continuous"], ["preimage_ok"]),
+    "TC2": (["continuous"], ["preimage_ok"]),
+    "CONTPSI": (["injective", "surjective", "continuous"], ["preimage_ok"]),
+    "TO1": (["open_map"], ["image_ok"]),
+    "OPEN_STAR": (["open_map"], ["image_ok"]),
+    "OPENBIJ": (["injective", "surjective", "open_map"], ["image_ok"]),
+    "CLOSEDSUR": (["injective", "closed_map"], ["image_ok"]),
+    "HOMEO_COR": (["homeomorphism"], ["equivalence_ok"]),
+    "HOMEO_HR": (["injective", "surjective"], ["image_ideal_equal"]),
+    "SAMUELS": (["codomain_regular"], ["domain_star_full"]),
+    "JHCOMP": (["codomain_hausdorff", "injective", "surjective"],
+               ["image_ideal_equal", "star_to_base_continuous"]),
+    "HR34": (["injective", "surjective"],
+             ["preimage_ok", "psi_codomain_continuous"]),
+    "HR35": (["injective", "surjective"], ["image_ok", "psi_domain_open"]),
+}
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+def test_gates_keep_their_evaluation_order(tid):
+    spec = thm.THEOREMS[tid]
+    names = {h.test.mask: h.name for h in spec.hyps if h.level}
+    for drop in (None, *spec.hypothesis_names):
+        dropped = frozenset() if drop is None else frozenset([drop])
+        for level, order in zip((1, 2), GATE_ORDER[tid]):
+            gates = thm.level_gates(spec, dropped, level)
+            assert [names[g] for g in gates] == [
+                name for name in order if name != drop], (tid, drop, level)
