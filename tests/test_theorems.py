@@ -392,12 +392,31 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
     assert info_names == ["a", "b", "c"]
 
 
-def test_every_gated_hypothesis_and_conclusion_has_a_mask_form():
-    # the search decides the gates and the conclusions through these alone
+def test_every_level2_hypothesis_has_a_mask_form():
+    # the search gates a block's codomain carriers through these alone
     for spec in thm.THEOREMS.values():
+        gates = thm.level_gates(spec, frozenset(), 2)
         for h in spec.hyps:
-            assert callable(h.test.mask) == (h.level in (1, 2)), (
+            if h.level == 2:
+                assert callable(h.test.mask), (spec.theorem_id, h.name)
+            assert (h.level == 2) == (h.test.mask in gates), (
                 spec.theorem_id, h.name)
+
+
+def test_every_level1_hypothesis_has_a_mask_form():
+    # the search decides the level-1 gate through these alone
+    for spec in thm.THEOREMS.values():
+        gates = thm.level_gates(spec, frozenset(), 1)
+        for h in spec.hyps:
+            if h.level == 1:
+                assert callable(h.test.mask), (spec.theorem_id, h.name)
+            assert (h.level == 1) == (h.test.mask in gates), (
+                spec.theorem_id, h.name)
+
+
+def test_every_conclusion_has_a_mask_form():
+    # the search decides the conclusions through these alone
+    for spec in thm.THEOREMS.values():
         for c in spec.concls:
             if not c.members:
                 assert callable(c.fail.mask), (spec.theorem_id, c.name)
