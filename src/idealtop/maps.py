@@ -21,6 +21,7 @@ class FiniteMap:
     def __post_init__(self) -> None:
         check_point_count(self.n_dom)
         check_point_count(self.n_cod)
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.n_dom:
             raise DimensionMismatch(
                 f"value table has {len(self.values)} entries for {self.n_dom} points")

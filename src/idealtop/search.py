@@ -12,9 +12,9 @@ is identical for any worker count.
 Hypothesis evaluation is staged, and each stage decides every column of
 a row at once, as a bitmask over them (see :func:`_run_row`): the
 topology-level hypotheses once per (row, map), then the carrier-level
-gates and the conclusions once per (map, domain carrier).  That makes the
-full 13-theorem certification take about a tenth of a second at three
-points and about five seconds at four, on one core.
+gates and the conclusions once per (map, domain carrier), by mask forms
+bound once per scan: the 13-theorem certification takes under a tenth of
+a second at three points and a few seconds at four, on one core.
 
 Every statement is invariant under relabeling the points, so an unrestricted
 scan walks one (topology, carrier) per relabeling class on each side, paired
@@ -28,11 +28,10 @@ import os
 import random
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (BadMask, BadSearchOption, CapExceeded,
                      UnknownHypothesisName)
@@ -294,13 +293,13 @@ def _checked_spec(theorem_id: str, dropped) -> thm.TheoremSpec:
 
 
 def _dropped_names(dropped) -> tuple[str, ...]:
-    """The distinct names in ``dropped``, in order; refuses a bare string,
-    which would read as its letters."""
-    if isinstance(dropped, str):
+    """The distinct names in ``dropped``, in order; refuses all but a
+    sequence of names, a bare string too, which would read as letters."""
+    names = tuple(dropped) if isinstance(dropped, Iterable) else (None,)
+    if isinstance(dropped, str) or not all(isinstance(n, str) for n in names):
         raise BadSearchOption(
-            f"dropped hypotheses must be a sequence of names, not the "
-            f"string {dropped!r}")
-    return tuple(dict.fromkeys(dropped))
+            f"dropped hypotheses must be a sequence of names, got {dropped!r}")
+    return tuple(dict.fromkeys(names))
 
 
 def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
@@ -319,25 +318,25 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     Returns the least candidate of each block that has one, as
     [(iy, mx, my, fi), ...] in block order, with the row's instances that
     pass the level-1 gate and both gates.  Every stage decides all columns
-    at once, as a mask over the positions (:func:`theorems.gate_mask`):
-    the level-1 gate, which reads no carrier, once per map, then the
-    level-2 gates and the violations once per (map, m_x).  Within a block
-    the lowest set bit of the violation mask is the least m_y.  A block's
-    positions leave the violation masks, never the gates, once its
-    candidate has a smaller m_x, since no later map can beat it there.
-    Workspaces and columns are built lazily per process, so the function
-    is safe under any multiprocessing start method.
+    at once, as a mask over the positions, by the plan bound to the columns
+    (:func:`theorems.scan_plan`): the level-1 gates, which read no carrier,
+    once per map, then the level-2 gates and the violations once per
+    (map, m_x).  Within a block the lowest set bit of the violation mask is
+    the least m_y.  A block's positions leave the violation masks, never
+    the gates, once its candidate has a smaller m_x, since no later map can
+    beat it there.
+    Workspaces, columns and plans are built lazily per process, so the
+    function is safe under any multiprocessing start method.
     """
     theorem_id, dropped, mode, n_dom, n_cod, carriers, (ix, mx_range) = args
     blocks = _blocks(n_cod, carriers)
     if not mx_range or not blocks:
         return [], 0, 0
-    spec = thm.spec_for(theorem_id)
     ws = _workspace(n_dom, n_cod)
     cv = _columns(n_cod, carriers)
     sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
-    gates1 = thm.level_gates(spec, dropped, 1)
-    gates2 = thm.level_gates(spec, dropped, 2)
+    gates1, gates2, violated = thm.scan_plan(
+        thm.spec_for(theorem_id), dropped, mode, cv)
     ctx = thm._Ctx(sides_x[0], None, None, None)
     # each block's least candidate as (index of m_x, position, fi), and
     # for each index of m_x the positions of the blocks whose candidate
@@ -348,20 +347,28 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     for fi in range(len(ws.maps)):
         ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
         # any domain side of the row serves the level-1 gate
-        passing = thm.gate_mask(gates1, ctx, cv, cv.full)
+        passing = cv.full
+        for gate in gates1:
+            passing &= gate(ctx)
+            if not passing:
+                break
         if not passing:
             continue
         level1 += passing.bit_count() * len(mx_range)
         for j, sx in enumerate(sides_x):
             ctx.sx = sx
-            live = thm.gate_mask(gates2, ctx, cv, passing)
+            live = passing
+            for gate in gates2:
+                live &= gate(ctx)
+                if not live:
+                    break
             if not live:
                 continue
             level2 += live.bit_count()
             live &= ~settled[j]
             if not live:
                 continue
-            bad = thm.violations_mask(spec, mode, ctx, cv, live)
+            bad = violated(ctx, live)
             while bad:
                 pos = (bad & -bad).bit_length() - 1
                 k = bisect_right(cv.starts, pos) - 1
@@ -385,11 +392,12 @@ def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
     """Scan the rows, in a process pool when more than one worker is asked
     for, and yield the result of each row (see :func:`_run_row`) in row
     order as the rows finish.  The pool has at most one process per row
-    and per CPU."""
+    and per CPU, and the pool's module is imported only then."""
     tasks = [(theorem_id, dropped, mode, n_dom, n_cod, carriers, row)
              for row in rows]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_row, tasks)
     else:
@@ -470,26 +478,29 @@ def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
                 progress: Optional[ProgressFn],
                 carriers: Optional[tuple[int, ...]]) -> SearchReport:
     """Run :func:`_search` over the sorted distinct ``carriers`` and report
-    its least instance.  Refuses ``workers`` other than None or an integer
-    of at least 1, an empty tuple of carriers, and a carrier with a point
-    beyond the larger bound, which no size pair could scan."""
+    its least instance.  Refuses ``bounds`` other than a SearchBounds,
+    ``workers`` other than None or an integer of at least 1, no carriers,
+    and a carrier with a point beyond the larger bound."""
+    if not isinstance(bounds, SearchBounds):
+        raise BadSearchOption(f"bounds must be a SearchBounds, got {bounds!r}")
     if workers is not None and (not isinstance(workers, int)
                                 or isinstance(workers, bool) or workers < 1):
         raise BadSearchOption(
             f"workers must be None or an integer of at least 1, "
             f"got {workers!r}")
     if carriers is not None:
-        if not carriers:
-            raise BadMask("carriers must name at least one mask")
+        masks = tuple(carriers) if isinstance(carriers, Iterable) else ()
+        if not masks:
+            raise BadMask(f"carriers must name some mask, got {carriers!r}")
         n = max(bounds.max_n_dom, bounds.max_n_cod)
-        for c in carriers:
+        for c in masks:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise BadMask(
                     f"carrier must be a non-negative integer mask, got {c!r}")
             if c >> n:
                 raise BadMask(f"carrier {c} has a point beyond the {n} "
                               f"points of the bounds")
-        carriers = tuple(sorted(set(carriers)))
+        carriers = tuple(sorted(set(masks)))
     start = time.perf_counter()
     instances, best, stats = _search(theorem_id, frozenset(dropped), mode,
                                      bounds, workers, progress, carriers)
@@ -569,9 +580,11 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
 
     Never certifies; the report is labeled sampled.  Refuses a ``mode``
     other than "find" and "verify", a ``sample`` other than an integer of
-    at least 1, a ``seed`` other than an integer, and a bare string of
-    dropped hypotheses.
+    at least 1, a ``seed`` other than an integer, ``bounds`` other than a
+    SearchBounds, and dropped hypotheses other than a sequence of names.
     """
+    if not isinstance(bounds, SearchBounds):
+        raise BadSearchOption(f"bounds must be a SearchBounds, got {bounds!r}")
     if mode not in ("find", "verify"):
         raise BadSearchOption(f"mode must be 'find' or 'verify', got {mode!r}")
     if not isinstance(sample, int) or isinstance(sample, bool) or sample < 1:

@@ -100,6 +100,7 @@ class Topology:
 
     def __post_init__(self) -> None:
         check_point_count(self.n)
+        object.__setattr__(self, "min_nbhd", tuple(self.min_nbhd))
         if len(self.min_nbhd) != self.n:
             raise NotATopology(
                 f"minimal-neighborhood table has {len(self.min_nbhd)} entries "

@@ -178,7 +178,7 @@ class _Carriers(dict):
     first read.
     """
 
-    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans")
+    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans", "plans")
 
     def __init__(self, n: int, blocks: list[list[_Side]]) -> None:
         super().__init__()
@@ -186,7 +186,7 @@ class _Carriers(dict):
         self.n = n
         self.full = (1 << len(self.sides)) - 1
         self.full_y = (1 << n) - 1
-        self.starts, self.spans = [], []
+        self.starts, self.spans, self.plans = [], [], {}
         at = 0
         for block in blocks:
             self.starts.append(at)

@@ -54,13 +54,13 @@ bijectivity.  A witness, the least failing open set, is searched for only
 once one has failed.  An equivalence is true when its members all hold or
 all fail.
 
-Every declaration, and every other hypothesis (:class:`Gate`), carries
-two forms: ``check`` and sampling call the scalar one on one instance, and
-the search the mask form, which decides every codomain (topology, carrier)
-column of a scan row at once, as a bitmask over them
-(:class:`star._Carriers`).  A mask form reads the codomain, its topology
-included, from the column tables only, and the same tables as its scalar
-form; the tests pin the two to each other.
+Every declaration, and every other hypothesis (:class:`Gate`), has two
+forms: ``check`` and sampling call ``holds`` on one instance, and a scan
+calls ``bind(cv)`` once per column tables ``cv`` (:class:`star._Carriers`)
+for the mask form, which decides every codomain (topology, carrier) column
+of a scan row at once, as a bitmask over them.  A mask form reads the
+codomain, its topology included, from the column tables only, and the
+same tables as its scalar form; the tests pin the two to each other.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ class Verdict:
 class _Ctx:
     """Everything a checker reads: domain side, codomain side, and the
     map's image and preimage tables.  The mask forms take the codomain from
-    the column tables and never read its side, so the search's kernel
-    context holds None there."""
+    the column tables they are bound to and never read its side, so the
+    search's kernel context holds None there."""
 
     __slots__ = ("sx", "sy", "img", "pre")
 
@@ -208,9 +208,9 @@ def _ctx_for(inst: Instance) -> _Ctx:
 
 # ---------------------------------------------------------------------------
 # declarations: each is decided on one context (``holds``, and called, the
-# least subset or point where it fails, or None) and as a mask over the
-# codomain columns of a scan row (``mask``; see :class:`star._Carriers`),
-# with the domain side and the map fixed in the context
+# least subset or point where it fails, or None) and, bound to the codomain
+# columns of a scan row (``bind``; see :class:`star._Carriers`), as a mask
+# over them, with the domain side and the map fixed in the context
 # ---------------------------------------------------------------------------
 
 def _witness(side: str, table: tuple[int, ...], nb_src: tuple[int, ...],
@@ -233,7 +233,7 @@ class Continuous:
 
     nb_x: str
     nb_y: str
-    cost = 2  # one read per point (see :func:`level_gates`)
+    cost = 2  # one read per point (see :class:`Gate`)
 
     def holds(self, ctx: _Ctx) -> bool:
         return _continuous(ctx.img, getattr(ctx.sx, self.nb_x),
@@ -246,12 +246,14 @@ class Continuous:
         return _witness("codomain", ctx.pre, getattr(ctx.sy, self.nb_y),
                         lambda a: _is_open_unchecked(nb_x, a))
 
-    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
-        img, rows = ctx.img, cv[self.nb_y, "sub"]
-        hold = cv.full
-        for x, a in enumerate(getattr(ctx.sx, self.nb_x)):
-            hold &= rows[img[1 << x].bit_length() - 1][img[a]]
-        return hold
+    def bind(self, cv: _Carriers) -> Callable[[_Ctx], int]:
+        nb_x, rows, full = self.nb_x, cv[self.nb_y, "sub"], cv.full
+        def mask(ctx):
+            img, hold = ctx.img, full
+            for x, a in enumerate(getattr(ctx.sx, nb_x)):
+                hold &= rows[img[1 << x].bit_length() - 1][img[a]]
+            return hold
+        return mask
 
 
 @dataclass(frozen=True)
@@ -278,13 +280,15 @@ class Open:
         return _witness("domain", ctx.img, getattr(ctx.sx, self.nb_x),
                         lambda v: cl_y[full ^ v] == full ^ v)
 
-    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
-        img, full, rows = ctx.img, cv.full_y, cv[self.cl_y, "eq"]
-        hold = cv.full
-        for a in getattr(ctx.sx, self.nb_x):
-            closed = full ^ img[a]
-            hold &= rows[closed][closed]
-        return hold
+    def bind(self, cv: _Carriers) -> Callable[[_Ctx], int]:
+        rows, full, full_y = cv[self.cl_y, "eq"], cv.full, cv.full_y
+        def mask(ctx):
+            img, hold = ctx.img, full
+            for a in getattr(ctx.sx, self.nb_x):
+                closed = full_y ^ img[a]
+                hold &= rows[closed][closed]
+            return hold
+        return mask
 
 
 @dataclass(frozen=True)
@@ -298,25 +302,28 @@ class Homeomorphism:
     cost = 2
 
     def holds(self, ctx: _Ctx) -> bool:
-        return (_bijective(ctx, ctx.sy.full) and self.cont.holds(ctx)
+        return (_bijective(ctx) and self.cont.holds(ctx)
                 and self.opens.holds(ctx))
 
     def __call__(self, ctx: _Ctx) -> Optional[Witness]:
-        if not _bijective(ctx, ctx.sy.full):
+        if not _bijective(ctx):
             return Witness("", "codomain", "point", point=next(
                 y for y in range(ctx.sy.n)
                 if ctx.pre[1 << y].bit_count() != 1))
         return self.cont(ctx) or self.opens(ctx)
 
-    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
-        if not _bijective(ctx, cv.full_y):
-            return 0
-        return self.cont.mask(ctx, cv) & self.opens.mask(ctx, cv)
+    def bind(self, cv: _Carriers) -> Callable[[_Ctx], int]:
+        cont, opens = self.cont.bind(cv), self.opens.bind(cv)
+        return lambda ctx: cont(ctx) & opens(ctx) if _bijective(ctx) else 0
 
 
-def _bijective(ctx: _Ctx, full_y: int) -> bool:
+def _bijective(ctx: _Ctx) -> bool:
     # a map between equal point counts is bijective iff it is onto
-    return ctx.sx.n == full_y.bit_length() and ctx.img[ctx.sx.full] == full_y
+    return len(ctx.img) == len(ctx.pre) and _surjective(ctx)
+
+
+def _surjective(ctx: _Ctx) -> bool:
+    return ctx.img[ctx.sx.full] == len(ctx.pre) - 1  # len(pre) is 2 ** |Y|
 
 
 _BASE_CONT = Continuous("min_nbhd", "min_nbhd")
@@ -366,30 +373,34 @@ class Transport:
     def holds(self, ctx: _Ctx) -> bool:
         return self(ctx) is None
 
-    def mask(self, ctx: _Ctx, cv: _Carriers) -> int:
+    def bind(self, cv: _Carriers) -> Callable[[_Ctx], int]:
         """The positions of ``cv`` whose codomain side makes the
-        declaration hold, with the domain side and the map from ``ctx``.
+        declaration hold, with the domain side and the map from a context.
 
         On the domain side each ``A`` reads row ``f[A]``, column
         ``f[op_X(A)]`` of a table.  On the codomain side, with
         ``L = op_X(f^-1 B)`` and ``R = op_Y(B)``, ``L <= f^-1 R`` iff
         ``f[L] <= R``, and ``f^-1 R <= L`` iff ``R`` misses ``f[X - L]``.
         """
-        img, op_x = ctx.img, getattr(ctx.sx, self.op)
-        hold = cv.full
+        op, full = self.op, cv.full
         if self.side == "domain":
             rows = cv[self.op, _DOMAIN_TESTS[self.rel]]
-            for op_a, img_a in zip(op_x, img):
-                hold &= rows[img_a][img[op_a]]
-            return hold
-        if self.rel != ">=":
-            for row, p in zip(cv[self.op, "sub"], ctx.pre):
+            def mask(ctx):
+                img, hold = ctx.img, full
+                for op_a, img_a in zip(getattr(ctx.sx, op), img):
+                    hold &= rows[img_a][img[op_a]]
+                return hold
+            return mask
+        sub = cv[self.op, "sub"] if self.rel != ">=" else ()
+        disj = cv[self.op, "disj"] if self.rel != "<=" else ()
+        def mask(ctx):
+            img, op_x, hold = ctx.img, getattr(ctx.sx, op), full
+            for row, p in zip(sub, ctx.pre):
                 hold &= row[img[op_x[p]]]
-        if self.rel != "<=":
-            full_x = ctx.sx.full
-            for row, p in zip(cv[self.op, "disj"], ctx.pre):
-                hold &= row[img[full_x ^ op_x[p]]]
-        return hold
+            for row, p in zip(disj, ctx.pre):
+                hold &= row[img[ctx.sx.full ^ op_x[p]]]
+            return hold
+        return mask
 
 
 # the relation of f[op_X(A)] to op_Y(f[A]) as a carrier-table test
@@ -407,59 +418,74 @@ _DOMAIN_TESTS = {"<=": "sub", ">=": "sup", "==": "eq"}
 
 @dataclass(frozen=True)
 class Gate:
-    """A hypothesis in both forms: ``holds`` on one context, and ``mask``
-    over a row's codomain columns.  ``cost`` orders the gates of one level
-    (see :func:`level_gates`): 0 for one read of the column tables, 1 for a
-    flag of the domain and the map, 2 for one read per point."""
+    """A hypothesis: ``holds``, and ``form``, which binds its mask form, or
+    None when ``holds`` reads only the domain side and the map.  ``cost``
+    orders the gates of one level: 0 for one read of the column tables, 1
+    for a flag of the domain and the map, 2 for one read per point."""
 
     cost: int
     holds: Callable[[_Ctx], bool]
-    mask: Optional[Callable[[_Ctx, _Carriers], int]] = None
+    form: Optional[Callable[[_Carriers], Callable[[_Ctx], int]]] = None
+
+    def bind(self, cv: _Carriers) -> Callable[[_Ctx], int]:
+        full, holds = cv.full, self.holds
+        return self.form(cv) if self.form else (
+            lambda ctx: full if holds(ctx) else 0)
 
 
 def _injective(ctx):
     return ctx.img[ctx.sx.full].bit_count() == ctx.sx.n
 
 
-def _m_closed(ctx, cv):
+def _constant(mask):
+    return lambda ctx: mask
+
+
+def _closed_form(cv):
     # the mask form of maps._closed: every f[cl{x}] is its own closure
-    img, cl, rows = ctx.img, ctx.sx.cl, cv["cl", "eq"]
-    hold = cv.full
-    for x in range(ctx.sx.n):
-        image = img[cl[1 << x]]
-        hold &= rows[image][image]
-    return hold
+    rows, full = cv["cl", "eq"], cv.full
+    def mask(ctx):
+        img, cl, hold = ctx.img, ctx.sx.cl, full
+        for x in range(ctx.sx.n):
+            image = img[cl[1 << x]]
+            hold &= rows[image][image]
+        return hold
+    return mask
 
 
 def _h_preimage_ok(ctx):
     return not ctx.pre[ctx.sy.carrier] & ~ctx.sx.carrier
 
 
-def _m_preimage_ok(ctx, cv):
-    # f^-1 N <= M iff N misses f[X - M]
-    return cv["carrier", "disj"][ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
-
-
 def _h_image_ok(ctx):
     return not ctx.img[ctx.sx.carrier] & ~ctx.sy.carrier
 
 
-def _m_image_ok(ctx, cv):
-    return cv["carrier", "sub"][ctx.img[ctx.sx.carrier]]
+def _carrier_form(test, outside=False):
+    # the form of a gate testing f[M], or f[X - M] with ``outside``, against
+    # the columns' carriers; f^-1 N <= M iff N misses f[X - M]
+    def form(cv):
+        row = cv["carrier", test]
+        if outside:
+            return lambda ctx: row[ctx.img[ctx.sx.full ^ ctx.sx.carrier]]
+        return lambda ctx: row[ctx.img[ctx.sx.carrier]]
+    return form
 
 
-_INJECTIVE = Gate(1, _injective,
-                  lambda ctx, cv: cv.full if _injective(ctx) else 0)
-_SURJECTIVE = Gate(
-    1, lambda ctx: ctx.img[ctx.sx.full] == ctx.sy.full,
-    lambda ctx, cv: cv.full if ctx.img[ctx.sx.full] == cv.full_y else 0)
+def _equivalence_ok_form(cv):
+    pre, img = _carrier_form("disj", True)(cv), _carrier_form("sub")(cv)
+    return lambda ctx: pre(ctx) & img(ctx)
+
+
+_INJECTIVE = Gate(1, _injective)
+_SURJECTIVE = Gate(1, _surjective)
 _CLOSED = Gate(2, lambda ctx: _closed(ctx.img, ctx.sx.cl, ctx.sy.cl),
-               _m_closed)
-_PREIMAGE_OK = Gate(0, _h_preimage_ok, _m_preimage_ok)
-_IMAGE_OK = Gate(0, _h_image_ok, _m_image_ok)
+               _closed_form)
+_PREIMAGE_OK = Gate(0, _h_preimage_ok, _carrier_form("disj", True))
+_IMAGE_OK = Gate(0, _h_image_ok, _carrier_form("sub"))
 _IMAGE_IDEAL_EQUAL = Gate(
     0, lambda ctx: ctx.img[ctx.sx.carrier] == ctx.sy.carrier,
-    lambda ctx, cv: cv["carrier", "eq"][ctx.img[ctx.sx.carrier]])
+    _carrier_form("eq"))
 # compatibility and smallness-compactness; for the proofs, see
 # ``star.is_compatible`` and ``star.is_ideal_compact``
 _ALWAYS = Gate(0, lambda ctx: True)
@@ -568,7 +594,7 @@ _SPECS = (
         (HypSpec("homeomorphism", 1, Homeomorphism(_BASE_CONT, _BASE_OPEN)),
          HypSpec("equivalence_ok", 2, Gate(
              0, lambda ctx: _h_preimage_ok(ctx) and _h_image_ok(ctx),
-             lambda ctx, cv: _m_preimage_ok(ctx, cv) & _m_image_ok(ctx, cv)))),
+             _equivalence_ok_form))),
         (ConclSpec("a", _STAR_HOMEO),
          ConclSpec("b", Transport("star", "domain", "==")),
          ConclSpec("c", Transport("star", "codomain", "==")),
@@ -594,11 +620,10 @@ _SPECS = (
     TheoremSpec(
         "SAMUELS",
         (HypSpec("domain_star_full", 2, Gate(
-            1, lambda ctx: ctx.sx.star_full,
-            lambda ctx, cv: cv.full if ctx.sx.star_full else 0)),
+            1, lambda ctx: ctx.sx.star_full)),
          HypSpec("codomain_regular", 1, Gate(
              0, lambda ctx: ctx.sy.tt.regular,
-             lambda ctx, cv: cv["regular"]))),
+             lambda cv: _constant(cv["regular"])))),
         (ConclSpec("continuous_base", _BASE_CONT, report=False),
          ConclSpec("continuous_star", _STAR_TO_BASE, report=False),
          ConclSpec("cont_iff",
@@ -611,7 +636,7 @@ _SPECS = (
          HypSpec("ideal_compact", 0, _ALWAYS),
          HypSpec("codomain_hausdorff", 1, Gate(
              0, lambda ctx: ctx.sy.tt.hausdorff,
-             lambda ctx, cv: cv["hausdorff"])),
+             lambda cv: _constant(cv["hausdorff"]))),
          HypSpec("image_ideal_equal", 2, _IMAGE_IDEAL_EQUAL),
          HypSpec("star_to_base_continuous", 2, _STAR_TO_BASE)),
         (ConclSpec("star_homeomorphism", _STAR_HOMEO),),
@@ -752,49 +777,49 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
 
 
 # the same decisions as masks over a row's codomain columns (see
-# :class:`star._Carriers`), with the domain side and the map fixed in ``ctx``
+# :class:`star._Carriers`), with the domain side and the map in a context
 
-def level_gates(spec: TheoremSpec, dropped: frozenset[str],
-                level: int) -> tuple:
-    """The mask forms of the theorem's hypotheses of ``level`` (1 or 2)
-    not dropped, the cheaper first: constants per column and flags of the
-    domain and the map, then reads per point (``cost``)."""
-    hyps = [h.test for h in spec.hyps
-            if h.level == level and h.name not in dropped]
-    return tuple(t.mask for t in sorted(hyps, key=lambda t: t.cost))
-
-
-def gate_mask(gates: tuple, ctx: _Ctx, cv: _Carriers, live: int) -> int:
-    """The positions in ``live`` that pass every gate."""
-    for gate in gates:
-        live &= gate(ctx, cv)
-        if not live:
-            break
-    return live
+def scan_plan(spec: TheoremSpec, dropped: frozenset[str], mode: str,
+              cv: _Carriers) -> tuple:
+    """What a scan evaluates, bound once to the columns ``cv`` and kept in
+    ``cv.plans``: the level-1 and level-2 gates not dropped, the cheaper
+    first, and the positions of ``live`` where a reported conclusion fails
+    (``mode`` "verify") or the designated one does ("find"), the mask form
+    of :func:`_concl_results`.  Verifying skips an equivalence whose
+    members are all reported: its failing positions lie in theirs."""
+    key = (spec.theorem_id, dropped, mode)
+    if key not in cv.plans:
+        cv.plans[key] = (*(tuple(h.test.bind(cv) for h in sorted(
+            (h for h in spec.hyps if h.level == level
+             and h.name not in dropped), key=lambda h: h.test.cost))
+            for level in (1, 2)), _violations(spec, mode, cv))
+    return cv.plans[key]
 
 
-def violations_mask(spec: TheoremSpec, mode: str, ctx: _Ctx, cv: _Carriers,
-                    live: int) -> int:
-    """The positions in ``live`` where a reported conclusion fails
-    (``mode`` "verify") or the designated one does ("find"): the mask form
-    of :func:`_concl_results`, in declaration order."""
-    fails: dict[str, int] = {}
-    out = 0
-    for c in spec.concls:
-        if c.members:
-            some = all_ = fails[c.members[0]]
-            for m in c.members[1:]:
-                some |= fails[m]
-                all_ &= fails[m]
-            bad = some & ~all_
-        else:
-            bad = fails[c.name] = live & ~c.fail.mask(ctx, cv)
-        if mode == "verify":
-            if c.report:
-                out |= bad
-        elif c.name == spec.designated:
-            return bad
-    return out
+def _violations(spec: TheoremSpec, mode: str, cv: _Carriers):
+    concl = {c.name: c for c in spec.concls}
+    wanted = [c for c in spec.concls if c.name == spec.designated] if (
+        mode == "find") else [c for c in spec.concls if c.report and not (
+            c.members and all(concl[m].report for m in c.members))]
+    names = list(dict.fromkeys(m for c in wanted
+                               for m in c.members or [c.name]))
+    forms, full = [concl[name].fail.bind(cv) for name in names], cv.full
+    if len(forms) == 1:
+        return lambda ctx, live: live & ~forms[0](ctx)
+    # where not all members hold and, for an equivalence, some do
+    checks = [([names.index(m) for m in c.members or [c.name]],
+               0 if c.members else full) for c in wanted]
+    def violated(ctx, live):
+        held = [form(ctx) for form in forms]
+        bad = 0
+        for members, some in checks:
+            every = full
+            for i in members:
+                every &= held[i]
+                some |= held[i]
+            bad |= live & some & ~every
+        return bad
+    return violated
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,23 @@ from idealtop import (DimensionMismatch, FiniteMap, classify, compose,
 from idealtop.search import enumerate_maps, enumerate_topologies
 
 
+def test_tables_given_as_lists_are_their_tuple_twins():
+    # a list table compared unequal to its tuple twin, and every cached
+    # operation on it raised TypeError: unhashable type: 'list'
+    from idealtop import (ALL_THEOREM_IDS, Ideal, IdealSpace, Instance,
+                          Topology, check, star_topology)
+    top, f = Topology(2, [3, 2]), FiniteMap(2, 2, [0, 1])
+    assert top == Topology(2, (3, 2)) and hash(top) == hash(Topology(2, (3, 2)))
+    assert f == identity_map(2) and hash(f) == hash(identity_map(2))
+    assert top.opens() == (0, 2, 3)
+    assert image_table(f) == image_table(identity_map(2))
+    assert classify(f, top, top) == classify(identity_map(2), top, top)
+    space = IdealSpace(top, Ideal(2, 2))
+    assert star_topology(space).min_nbhd == (1, 2)
+    inst = Instance(space, space, f)
+    assert all(check(tid, inst).all_conclusions for tid in ALL_THEOREM_IDS)
+
+
 def test_image_examples():
     assert image(identity_map(2), 0b11) == 0b11
     assert image(FiniteMap(2, 2, (0, 0)), 0b11) == 0b01

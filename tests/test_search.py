@@ -1,9 +1,13 @@
 """Enumeration, certification, and counterexample mining."""
 
+import collections
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -146,13 +150,26 @@ def test_process_pool_is_bounded_by_rows_and_cpus(monkeypatch, cpus,
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    # the scan imports the pool class from its module when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
     pooled = verify_exhaustive("TC1", SearchBounds(3, 3), workers=5000)
     # 1, 3 and 9 rows (domain topology classes) for 1, 2 and 3 points
     assert sizes == expected
     assert pooled.same_result(verify_exhaustive("TC1", SearchBounds(3, 3),
                                                 workers=1))
+
+
+def test_importing_the_package_imports_no_process_pool():
+    # only a scan with more than one worker needs multiprocessing
+    code = ("import sys, idealtop; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_progress_lines_cover_all_blocks():
@@ -234,26 +251,27 @@ def test_carrier_scan_keeps_only_representative_blocks():
     assert [len(ws.maps), len(ws.imgs), len(ws.pres)] == [27, 27, 27]
 
 
-# each flag of a map's classification with the mask form of the level-1
-# hypothesis that decides it
-PROFILE_MASKS = {"continuous": search.thm._BASE_CONT.mask,
-                 "open_map": search.thm._BASE_OPEN.mask,
-                 "closed_map": search.thm._CLOSED.mask,
-                 "injective": search.thm._INJECTIVE.mask,
-                 "surjective": search.thm._SURJECTIVE.mask}
+# each flag of a map's classification with the level-1 hypothesis whose
+# mask form decides it
+PROFILE_MASKS = {"continuous": search.thm._BASE_CONT,
+                 "open_map": search.thm._BASE_OPEN,
+                 "closed_map": search.thm._CLOSED,
+                 "injective": search.thm._INJECTIVE,
+                 "surjective": search.thm._SURJECTIVE}
 
 
 def mask_profiles_match_classify(ws, blocks):
     # with a column per codomain topology (the carriers play no part), the
     # mask forms decide every map's flags against all of them at once
     cv = search._columns(ws.tops_y[0].n, (0,))
+    masks = {name: test.bind(cv) for name, test in PROFILE_MASKS.items()}
     for ix, iy in blocks:
         tx, ty = ws.tops_x[ix], ws.tops_y[iy]
         ctx = search.thm._Ctx(star._side_tables(tx, 0), None, None, None)
-        for f, img in zip(ws.maps, ws.imgs):
-            ctx.img = img
-            flags = {name: bool(mask(ctx, cv) >> iy & 1)
-                     for name, mask in PROFILE_MASKS.items()}
+        for f, img, pre in zip(ws.maps, ws.imgs, ws.pres):
+            ctx.img, ctx.pre = img, pre
+            flags = {name: bool(mask(ctx) >> iy & 1)
+                     for name, mask in masks.items()}
             assert (MapProfile(**flags)
                     == search.thm.classify(f, tx, ty)), (ix, iy, f)
 
@@ -671,7 +689,7 @@ def test_topology_mask_forms_match_their_scalar_predicates(bounds, labeled):
     checked = 0
     for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
         for decl in TOPOLOGY_MASKS:
-            assert decl.mask(ctx, cv) == sum(
+            assert decl.bind(cv)(ctx) == sum(
                 1 << pos for pos, one in enumerate(scalars)
                 if decl.holds(one)), decl
         checked += len(scalars)
@@ -692,7 +710,7 @@ def test_level1_mask_forms_match_their_scalar_predicates(bounds, labeled):
     checked = 0
     for ctx, cv, scalars in contexts_of_rows(bounds, carriers):
         for test in LEVEL1_MASKS:
-            assert test.mask(ctx, cv) == sum(
+            assert test.bind(cv)(ctx) == sum(
                 1 << pos for pos, one in enumerate(scalars)
                 if test.holds(one)), test
         checked += len(scalars)
@@ -719,6 +737,64 @@ def test_certification_evaluates_no_instance_one_at_a_time(monkeypatch):
     # declaration
     assert levels == []
     assert transports == []
+
+
+def test_certification_binds_each_declaration_once_per_theorem_and_size(
+        monkeypatch):
+    # a scan binds its mask forms to the column tables once per (theorem,
+    # codomain size) and keeps them there, not once per row or per
+    # (map, domain carrier): 13 rows per codomain size at (3,3)
+    binds = collections.Counter()
+    for cls in (search.thm.Continuous, search.thm.Open,
+                search.thm.Homeomorphism, search.thm.Transport,
+                search.thm.Gate):
+        monkeypatch.setattr(cls, "bind", lambda self, cv, bind=cls.bind: (
+            binds.update([(self, cv.n)]) or bind(self, cv)))
+    search._columns.cache_clear()
+    for tid in ALL_THEOREM_IDS:
+        assert verify_exhaustive(tid, SearchBounds(3, 3)).certified
+    search._columns.cache_clear()
+    per_size = collections.Counter()
+    for (decl, n), count in binds.items():
+        per_size[n] += count
+        # a declaration is bound once per theorem whose scan reads it
+        assert count <= len(ALL_THEOREM_IDS), decl
+    # per theorem, its level-1 and level-2 hypotheses and the conclusions
+    # a verification reads (65), plus the continuity and openness that
+    # four homeomorphisms bind (8)
+    assert per_size == {1: 73, 2: 73, 3: 73}
+
+
+def violations_with_every_equivalence(spec, forms, ctx, live):
+    """The positions of ``live`` where a reported conclusion fails, each
+    equivalence decided from its members, skipped or not by the plan."""
+    fails, out = {}, 0
+    for c in spec.concls:
+        if c.members:
+            every = some = fails[c.members[0]]
+            for m in c.members[1:]:
+                some |= fails[m]
+                every &= fails[m]
+            bad = some & ~every
+        else:
+            bad = fails[c.name] = live & ~forms[c.name](ctx)
+        if c.report:
+            out |= bad
+    return out
+
+
+@pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
+def test_verification_skips_only_equivalences_it_cannot_miss(tid):
+    # skipping an equivalence whose members are all reported leaves the
+    # violation mask as it is, on every (map, domain carrier) of every
+    # representative row up to (3,3), with every column live
+    spec = THEOREMS[tid]
+    for ctx, cv, _ in contexts_of_rows(SearchBounds(3, 3), None):
+        violated = search.thm.scan_plan(spec, frozenset(), "verify", cv)[2]
+        forms = {c.name: c.fail.bind(cv) for c in spec.concls
+                 if not c.members}
+        assert violated(ctx, cv.full) == violations_with_every_equivalence(
+            spec, forms, ctx, cv.full)
 
 
 def test_certification_enumerates_no_open_set_and_no_carrier_one_by_one(
@@ -792,6 +868,56 @@ def test_workers_must_be_none_or_a_positive_integer(monkeypatch, workers):
     with pytest.raises(BadSearchOption):
         find_counterexample("CONTPSI", ("surjective",), SearchBounds(2, 2),
                             workers=workers)
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), 3, None])
+def test_bounds_must_be_search_bounds(monkeypatch, bounds):
+    # a tuple raised a bare AttributeError ('size_pairs')
+    def no_scan(*args):
+        raise AssertionError("scanned before the bounds were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    monkeypatch.setattr(search, "_workspace", no_scan)
+    with pytest.raises(BadSearchOption):
+        verify_exhaustive("TC1", bounds)
+    with pytest.raises(BadSearchOption):
+        find_counterexample("TC1", (), bounds)
+    with pytest.raises(BadSearchOption):
+        sample_search("TC1", bounds=bounds, sample=5, seed=0)
+
+
+@pytest.mark.parametrize("carriers", [5, 0, 2.5])
+def test_carriers_must_be_a_sequence(monkeypatch, carriers):
+    # 5 raised a bare TypeError, and 0 read as an empty sequence
+    def no_scan(*args):
+        raise AssertionError("scanned before the carriers were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    with pytest.raises(BadMask, match="must name some mask"):
+        verify_exhaustive("TC1", SearchBounds(2, 2), carriers=carriers)
+    with pytest.raises(BadMask, match="must name some mask"):
+        find_counterexample("TC1", (), SearchBounds(2, 2), carriers=carriers)
+
+
+def test_carriers_from_a_generator_are_all_scanned():
+    assert (verify_exhaustive("TC1", SearchBounds(2, 2),
+                              carriers=(c for c in (0, 3))).ideal_carriers
+            == (0, 3))
+
+
+@pytest.mark.parametrize("dropped", [None, 3, ["continuous", 3], [None]])
+def test_dropped_hypotheses_must_be_names(monkeypatch, dropped):
+    # None and 3 raised a bare TypeError, and a name beside a number one
+    # from sorting the unknown names
+    def no_scan(*args):
+        raise AssertionError("scanned before the names were checked")
+
+    monkeypatch.setattr(search, "_search", no_scan)
+    monkeypatch.setattr(search, "_workspace", no_scan)
+    with pytest.raises(BadSearchOption):
+        find_counterexample("TC1", dropped, SearchBounds(2, 2))
+    with pytest.raises(BadSearchOption):
+        sample_search("TC1", dropped, sample=5, seed=0)
 
 
 def search_by_instance(tid, dropped, mode, bounds, carriers):

@@ -18,7 +18,7 @@ from idealtop.errors import DimensionMismatch
 from idealtop.search import (SearchBounds, _workspace, enumerate_ideals,
                              enumerate_maps, enumerate_topologies,
                              verify_exhaustive)
-from idealtop.star import _side_tables
+from idealtop.star import _Carriers, _side_tables
 
 
 def seeds(n):
@@ -392,34 +392,70 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
     assert info_names == ["a", "b", "c"]
 
 
+def fresh_columns():
+    """Column tables of every (topology, carrier) on two points, built
+    here, so that no plan on them is shared with the search's."""
+    return _Carriers(2, [[_side_tables(t, m) for m in range(4)]
+                         for t in enumerate_topologies(2)])
+
+
+def kernel_ctx():
+    """A context as the search's kernel builds it, with no codomain side:
+    a two-point domain with a carrier, and a map onto two points."""
+    ws = _workspace(2, 2)
+    return thm._Ctx(_side_tables(ws.tops_x[1], 1), None, ws.imgs[1],
+                    ws.pres[1])
+
+
+def bound_mask(decl, cv):
+    """Bind the declaration's mask form to ``cv`` and check that it gives
+    a mask of the columns on a kernel context."""
+    mask = decl.bind(cv)(kernel_ctx())
+    assert isinstance(mask, int) and not mask & ~cv.full, decl
+
+
+def plan_gates(spec, dropped=frozenset()):
+    """The level-1 and level-2 gates of the theorem's scan plan, as the
+    declarations they were bound from, in evaluation order: while the plan
+    is built, each bound form is one that returns its declaration."""
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (thm.Continuous, thm.Open, thm.Homeomorphism, thm.Gate):
+            mp.setattr(cls, "bind", lambda self, cv: lambda ctx: self)
+        plan = thm.scan_plan(spec, dropped, "verify", fresh_columns())
+    return [[gate(None) for gate in level] for level in plan[:2]]
+
+
 def test_every_level2_hypothesis_has_a_mask_form():
-    # the search gates a block's codomain carriers through these alone
+    # the search gates a row's codomain columns through these alone
+    cv = fresh_columns()
     for spec in thm.THEOREMS.values():
-        gates = thm.level_gates(spec, frozenset(), 2)
+        gates = plan_gates(spec)[1]
         for h in spec.hyps:
             if h.level == 2:
-                assert callable(h.test.mask), (spec.theorem_id, h.name)
-            assert (h.level == 2) == (h.test.mask in gates), (
+                bound_mask(h.test, cv)
+            assert (h.level == 2) == (h.test in gates), (
                 spec.theorem_id, h.name)
 
 
 def test_every_level1_hypothesis_has_a_mask_form():
     # the search decides the level-1 gate through these alone
+    cv = fresh_columns()
     for spec in thm.THEOREMS.values():
-        gates = thm.level_gates(spec, frozenset(), 1)
+        gates = plan_gates(spec)[0]
         for h in spec.hyps:
             if h.level == 1:
-                assert callable(h.test.mask), (spec.theorem_id, h.name)
-            assert (h.level == 1) == (h.test.mask in gates), (
+                bound_mask(h.test, cv)
+            assert (h.level == 1) == (h.test in gates), (
                 spec.theorem_id, h.name)
 
 
 def test_every_conclusion_has_a_mask_form():
     # the search decides the conclusions through these alone
+    cv = fresh_columns()
     for spec in thm.THEOREMS.values():
         for c in spec.concls:
             if not c.members:
-                assert callable(c.fail.mask), (spec.theorem_id, c.name)
+                bound_mask(c.fail, cv)
 
 
 def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
@@ -468,10 +504,10 @@ GATE_ORDER = {
 @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
 def test_gates_keep_their_evaluation_order(tid):
     spec = thm.THEOREMS[tid]
-    names = {h.test.mask: h.name for h in spec.hyps if h.level}
+    names = {h.test: h.name for h in spec.hyps if h.level}
     for drop in (None, *spec.hypothesis_names):
         dropped = frozenset() if drop is None else frozenset([drop])
-        for level, order in zip((1, 2), GATE_ORDER[tid]):
-            gates = thm.level_gates(spec, dropped, level)
+        for level, order, gates in zip((1, 2), GATE_ORDER[tid],
+                                       plan_gates(spec, dropped)):
             assert [names[g] for g in gates] == [
                 name for name in order if name != drop], (tid, drop, level)
