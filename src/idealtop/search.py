@@ -33,8 +33,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import (BadMask, BadSearchOption, CapExceeded,
-                     UnknownHypothesisName)
+from .errors import BadMask, BadSearchOption, CapExceeded
 from .ideal import Ideal
 from .maps import FiniteMap, image_table, preimage_table
 from .space import Topology, check_point_count, full_mask
@@ -266,7 +265,7 @@ class _Workspace:
 
     def __init__(self, n_dom: int, n_cod: int) -> None:
         self.tops_x, self.orbits_x = _classes(n_dom)
-        self.tops_y, self.orbits_y = _classes(n_cod)
+        self.tops_y = _classes(n_cod)[0]
         self.maps = list(enumerate_maps(n_dom, n_cod))
         self.imgs = [image_table(f) for f in self.maps]
         self.pres = [preimage_table(f) for f in self.maps]
@@ -281,33 +280,6 @@ def _workspace(n_dom: int, n_cod: int) -> _Workspace:
 # the scan
 # ---------------------------------------------------------------------------
 
-def _checked_spec(theorem_id: str, dropped) -> thm.TheoremSpec:
-    """The theorem's spec, once every dropped name is one of its hypotheses."""
-    spec = thm.spec_for(theorem_id)
-    unknown = set(dropped) - set(spec.hypothesis_names)
-    if unknown:
-        raise UnknownHypothesisName(
-            f"{sorted(unknown)} not among hypotheses of {spec.theorem_id}: "
-            f"{list(spec.hypothesis_names)}")
-    return spec
-
-
-def _dropped_names(dropped) -> tuple[str, ...]:
-    """The distinct names in ``dropped``, in order; refuses all but a
-    sequence of names, a bare string too, which would read as letters."""
-    names = tuple(dropped) if isinstance(dropped, Iterable) else (None,)
-    if isinstance(dropped, str) or not all(isinstance(n, str) for n in names):
-        raise BadSearchOption(
-            f"dropped hypotheses must be a sequence of names, got {dropped!r}")
-    return tuple(dict.fromkeys(names))
-
-
-def _violated(mode: str) -> Callable[[thm.TheoremSpec, thm._Ctx], bool]:
-    """Any conclusion failing when verifying, the designated one when mining."""
-    return (thm.conclusions_violated if mode == "verify"
-            else thm.designated_false)
-
-
 # one row: the domain topology with its carriers
 _Row = tuple[int, Sequence[int]]
 
@@ -318,25 +290,24 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     Returns the least candidate of each block that has one, as
     [(iy, mx, my, fi), ...] in block order, with the row's instances that
     pass the level-1 gate and both gates.  Every stage decides all columns
-    at once, as a mask over the positions, by the plan bound to the columns
-    (:func:`theorems.scan_plan`): the level-1 gates, which read no carrier,
-    once per map, then the level-2 gates and the violations once per
-    (map, m_x).  Within a block the lowest set bit of the violation mask is
+    at once, as a mask over the positions, by the statement's plan bound to
+    the columns (:meth:`theorems.Statement.plan`): the level-1 gates, which
+    read no carrier, once per map, then the level-2 gates and the violations
+    once per (map, m_x).  Within a block the lowest set bit of the violation mask is
     the least m_y.  A block's positions leave the violation masks, never
     the gates, once its candidate has a smaller m_x, since no later map can
     beat it there.
     Workspaces, columns and plans are built lazily per process, so the
     function is safe under any multiprocessing start method.
     """
-    theorem_id, dropped, mode, n_dom, n_cod, carriers, (ix, mx_range) = args
+    stmt, n_dom, n_cod, carriers, (ix, mx_range) = args
     blocks = _blocks(n_cod, carriers)
     if not mx_range or not blocks:
         return [], 0, 0
     ws = _workspace(n_dom, n_cod)
     cv = _columns(n_cod, carriers)
     sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
-    gates1, gates2, violated = thm.scan_plan(
-        thm.spec_for(theorem_id), dropped, mode, cv)
+    gates1, gates2, violated = stmt.plan(cv)
     ctx = thm._Ctx(sides_x[0], None, None, None)
     # each block's least candidate as (index of m_x, position, fi), and
     # for each index of m_x the positions of the blocks whose candidate
@@ -385,16 +356,14 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
     return hits, level1, level2
 
 
-def _scan_rows(theorem_id: str, dropped: frozenset[str], mode: str,
-               n_dom: int, n_cod: int, carriers: Optional[tuple[int, ...]],
-               rows: Sequence[_Row], workers: int
-               ) -> Iterator[tuple[list[tuple], int, int]]:
+def _scan_rows(stmt: thm.Statement, n_dom: int, n_cod: int,
+               carriers: Optional[tuple[int, ...]], rows: Sequence[_Row],
+               workers: int) -> Iterator[tuple[list[tuple], int, int]]:
     """Scan the rows, in a process pool when more than one worker is asked
     for, and yield the result of each row (see :func:`_run_row`) in row
     order as the rows finish.  The pool has at most one process per row
     and per CPU, and the pool's module is imported only then."""
-    tasks = [(theorem_id, dropped, mode, n_dom, n_cod, carriers, row)
-             for row in rows]
+    tasks = [(stmt, n_dom, n_cod, carriers, row) for row in rows]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -423,8 +392,7 @@ def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
 ProgressFn = Callable[[str, int, int], None]  # row id, scanned, hit blocks
 
 
-def _search(theorem_id: str, dropped: frozenset[str], mode: str,
-            bounds: SearchBounds, workers: Optional[int],
+def _search(stmt: thm.Statement, bounds: SearchBounds, workers: Optional[int],
             progress: Optional[ProgressFn],
             carriers: Optional[tuple[int, ...]]
             ) -> tuple[int, Optional[tuple], dict]:
@@ -443,7 +411,6 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
     likewise: the reduced scan walks that key, and it walks only labeled
     instances, so its least key is the labeled one.
     """
-    _checked_spec(theorem_id, dropped)
     instances = scanned = hit_blocks = level1 = level2 = 0
     keys: list[tuple] = []
 
@@ -457,8 +424,7 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
                 else [(ix, mx_range) for ix in range(len(ws.tops_x))])
         columns = sum(len(ys) for _, ys in _blocks(n_cod, carriers))
         for (ix, xs), (hits, l1, l2) in zip(rows, _scan_rows(
-                theorem_id, dropped, mode, n_dom, n_cod, carriers, rows,
-                workers or 1)):
+                stmt, n_dom, n_cod, carriers, rows, workers or 1)):
             scanned += len(ws.maps) * len(xs) * columns
             level1 += l1
             level2 += l2
@@ -473,9 +439,8 @@ def _search(theorem_id: str, dropped: frozenset[str], mode: str,
         "level2_passed": level2}
 
 
-def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
-                bounds: SearchBounds, workers: Optional[int],
-                progress: Optional[ProgressFn],
+def _exhaustive(stmt: thm.Statement, bounds: SearchBounds,
+                workers: Optional[int], progress: Optional[ProgressFn],
                 carriers: Optional[tuple[int, ...]]) -> SearchReport:
     """Run :func:`_search` over the sorted distinct ``carriers`` and report
     its least instance.  Refuses ``bounds`` other than a SearchBounds,
@@ -502,28 +467,28 @@ def _exhaustive(theorem_id: str, dropped: tuple[str, ...], mode: str,
                               f"points of the bounds")
         carriers = tuple(sorted(set(masks)))
     start = time.perf_counter()
-    instances, best, stats = _search(theorem_id, frozenset(dropped), mode,
-                                     bounds, workers, progress, carriers)
+    instances, best, stats = _search(stmt, bounds, workers, progress,
+                                     carriers)
     found = None
     if best is not None:
         size_idx, ix, mx, iy, my, fi = best
         ws = _workspace(*bounds.size_pairs()[size_idx])
         found = _instance_from_key(ws, ix, mx, iy, my, fi)
-    return _finish(theorem_id, dropped, bounds, instances, found,
+    return _finish(stmt, bounds, instances, found,
                    time.perf_counter() - start, stats,
                    exhaustive=(carriers is None), carriers=carriers)
 
 
-def _finish(theorem_id: str, dropped: tuple[str, ...], bounds: SearchBounds,
-            instances: int, found: Optional[thm.Instance], elapsed: float,
-            stats: dict, exhaustive: bool, sampled: bool = False,
+def _finish(stmt: thm.Statement, bounds: SearchBounds, instances: int,
+            found: Optional[thm.Instance], elapsed: float, stats: dict,
+            exhaustive: bool, sampled: bool = False,
             seed: Optional[int] = None,
             carriers: Optional[tuple[int, ...]] = None) -> SearchReport:
     ce = None if found is None else Counterexample(
-        found, thm.check(theorem_id, found))
+        found, thm.check(stmt.theorem_id, found))
     return SearchReport(
-        theorem_id=thm.spec_for(theorem_id).theorem_id,
-        dropped_hypotheses=dropped,
+        theorem_id=stmt.theorem_id,
+        dropped_hypotheses=stmt.given,
         bounds=bounds,
         instances_checked=instances,
         certified=(ce is None and exhaustive),
@@ -556,7 +521,7 @@ def verify_exhaustive(theorem_id: str, bounds: SearchBounds = SearchBounds(),
     Restricting ``carriers`` makes the run non-certifying and is labeled so
     in the report.
     """
-    return _exhaustive(theorem_id, (), "verify", bounds, workers, progress,
+    return _exhaustive(thm.Statement(theorem_id), bounds, workers, progress,
                        carriers)
 
 
@@ -568,8 +533,8 @@ def find_counterexample(theorem_id: str, dropped_hypotheses=(),
     """Search for an instance satisfying every non-dropped hypothesis while
     the theorem's designated conclusion fails.  Refuses a bare string of
     dropped hypotheses."""
-    return _exhaustive(theorem_id, _dropped_names(dropped_hypotheses),
-                       "find", bounds, workers, progress, carriers)
+    return _exhaustive(thm.Statement(theorem_id, dropped_hypotheses, "find"),
+                       bounds, workers, progress, carriers)
 
 
 def sample_search(theorem_id: str, dropped_hypotheses=(), *,
@@ -585,20 +550,16 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
     """
     if not isinstance(bounds, SearchBounds):
         raise BadSearchOption(f"bounds must be a SearchBounds, got {bounds!r}")
-    if mode not in ("find", "verify"):
-        raise BadSearchOption(f"mode must be 'find' or 'verify', got {mode!r}")
     if not isinstance(sample, int) or isinstance(sample, bool) or sample < 1:
         raise BadSearchOption(
             f"sample must be an integer of at least 1, got {sample!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise BadSearchOption(f"seed must be an integer, got {seed!r}")
-    dropped = _dropped_names(dropped_hypotheses)
-    spec = _checked_spec(theorem_id, dropped)
+    stmt = thm.Statement(theorem_id, dropped_hypotheses, mode)
+    spec, dropped = stmt.spec, stmt.dropped
     rng = random.Random(seed)
     start = time.perf_counter()
     pairs = bounds.size_pairs()
-    dropped_set = frozenset(dropped)
-    violated = _violated(mode)
     found: Optional[thm.Instance] = None
     visited = level1 = level2 = 0
     for _ in range(sample):
@@ -612,17 +573,17 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         fi = rng.randrange(len(ws.maps))
         inst = _instance_from_key(ws, ix, mx, iy, my, fi)
         ctx = thm._ctx_for(inst)
-        if not thm.hypotheses_pass(spec, ctx, dropped_set, 1):
+        if not thm.hypotheses_pass(spec, ctx, dropped, 1):
             continue
         level1 += 1
-        if not thm.hypotheses_pass(spec, ctx, dropped_set, 2):
+        if not thm.hypotheses_pass(spec, ctx, dropped, 2):
             continue
         level2 += 1
-        if violated(spec, ctx):
+        if stmt.violated(ctx):
             found = inst
             break
     stats = {"instances_scanned": visited, "level1_passed": level1,
              "level2_passed": level2}
-    return _finish(theorem_id, dropped, bounds, visited, found,
+    return _finish(stmt, bounds, visited, found,
                    time.perf_counter() - start, stats,
                    exhaustive=False, sampled=True, seed=seed)

@@ -65,11 +65,12 @@ same tables as its scalar form; the tests pin the two to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .errors import (BadPoint, CapExceeded, DimensionMismatch, UnknownTheorem)
+from .errors import (BadPoint, BadSearchOption, CapExceeded,
+                     DimensionMismatch, UnknownHypothesisName, UnknownTheorem)
 from .ideal import Ideal
 from .maps import (FiniteMap, _closed, _continuous, _open, image_table,
                    preimage_table)
@@ -516,8 +517,6 @@ class TheoremSpec:
     hyps: tuple[HypSpec, ...]
     concls: tuple[ConclSpec, ...]
     designated: str  # conclusion mined by the counterexample search
-    # informational flags reported alongside (never counted as conclusions)
-    info: tuple[tuple[str, Callable[[_Ctx], bool]], ...] = ()
 
     @property
     def hypothesis_names(self) -> tuple[str, ...]:
@@ -579,16 +578,15 @@ _SPECS = (
     # For a closed injection only the forward containment is a theorem: its
     # proof restricts to the image, and the pullback dual genuinely needs
     # surjectivity (counterexample: a point mapped to the closed point of a
-    # two-point space with trivial ideals fails the dual).  The dual is
-    # reported informationally, so a scan never evaluates it.
+    # two-point space with trivial ideals fails the dual).
     TheoremSpec(
         "CLOSEDSUR",
         (HypSpec("closed_map", 1, _CLOSED),
          HypSpec("injective", 1, _INJECTIVE),
          HypSpec("image_ok", 2, _IMAGE_OK)),
-        (ConclSpec("a", Transport("star", "domain", ">=")),),
-        designated="a",
-        info=(("b", Transport("star", "codomain", ">=").holds),)),
+        (ConclSpec("a", Transport("star", "domain", ">=")),
+         ConclSpec("b", Transport("star", "codomain", ">="), report=False)),
+        designated="a"),
     TheoremSpec(
         "HOMEO_COR",
         (HypSpec("homeomorphism", 1, Homeomorphism(_BASE_CONT, _BASE_OPEN)),
@@ -734,9 +732,7 @@ def _select_witness(results) -> Optional[Witness]:
 
 def check(theorem_id: str, inst: Instance) -> Verdict:
     """Evaluate one theorem on one instance."""
-    spec = spec_for(theorem_id)
-    ctx = _ctx_for(inst)
-    return check_with_ctx(spec, ctx)
+    return check_with_ctx(spec_for(theorem_id), _ctx_for(inst))
 
 
 def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
@@ -744,7 +740,6 @@ def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
     results = list(_concl_results(spec, ctx))
     conclusions = tuple((c.name, w is None) for c, w in results if c.report)
     info = tuple((c.name, w is None) for c, w in results if not c.report)
-    info += tuple((name, fn(ctx)) for name, fn in spec.info)
     witness = _select_witness(results)
     return Verdict(
         theorem_id=spec.theorem_id,
@@ -756,9 +751,9 @@ def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:
     )
 
 
-# fast paths for the search engine ------------------------------------------
+# one instance at a time, for sampling, the test oracles and the tracer
 
-def hypotheses_pass(spec: TheoremSpec, ctx: _Ctx, dropped: frozenset[str],
+def hypotheses_pass(spec: TheoremSpec, ctx: _Ctx, dropped: Collection[str],
                     level: int) -> bool:
     return all(h.test.holds(ctx) for h in spec.hyps
                if h.level == level and h.name not in dropped)
@@ -776,24 +771,67 @@ def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
                 if c.name == spec.designated) is not None
 
 
-# the same decisions as masks over a row's codomain columns (see
-# :class:`star._Carriers`), with the domain side and the map in a context
+@dataclass(frozen=True)
+class Statement:
+    """A theorem with some hypotheses dropped, and the mode a search decides
+    it in: "verify" for a reported conclusion failing, "find" for the
+    designated one.  Refuses a ``dropped`` other than a sequence of the
+    theorem's hypothesis names (a bare string would read as letters) and
+    any other mode.  Equal statements compare and hash equal, since the id
+    is the registered one and ``dropped`` is sorted without repeats;
+    ``given`` keeps the caller's order, for the report."""
 
-def scan_plan(spec: TheoremSpec, dropped: frozenset[str], mode: str,
-              cv: _Carriers) -> tuple:
-    """What a scan evaluates, bound once to the columns ``cv`` and kept in
-    ``cv.plans``: the level-1 and level-2 gates not dropped, the cheaper
-    first, and the positions of ``live`` where a reported conclusion fails
-    (``mode`` "verify") or the designated one does ("find"), the mask form
-    of :func:`_concl_results`.  Verifying skips an equivalence whose
-    members are all reported: its failing positions lie in theirs."""
-    key = (spec.theorem_id, dropped, mode)
-    if key not in cv.plans:
-        cv.plans[key] = (*(tuple(h.test.bind(cv) for h in sorted(
-            (h for h in spec.hyps if h.level == level
-             and h.name not in dropped), key=lambda h: h.test.cost))
-            for level in (1, 2)), _violations(spec, mode, cv))
-    return cv.plans[key]
+    theorem_id: str
+    dropped: tuple[str, ...] = ()
+    mode: str = "verify"
+    given: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = (tuple(self.dropped) if isinstance(self.dropped, Iterable)
+                 else (None,))
+        if isinstance(self.dropped, str) or not all(
+                isinstance(n, str) for n in names):
+            raise BadSearchOption(f"dropped hypotheses must be a sequence "
+                                  f"of names, got {self.dropped!r}")
+        spec = spec_for(self.theorem_id)
+        unknown = set(names) - set(spec.hypothesis_names)
+        if unknown:
+            raise UnknownHypothesisName(
+                f"{sorted(unknown)} not among hypotheses of {spec.theorem_id}: "
+                f"{list(spec.hypothesis_names)}")
+        if self.mode not in ("find", "verify"):
+            raise BadSearchOption(
+                f"mode must be 'find' or 'verify', got {self.mode!r}")
+        given = tuple(dict.fromkeys(names))
+        object.__setattr__(self, "theorem_id", spec.theorem_id)
+        object.__setattr__(self, "dropped", tuple(sorted(given)))
+        object.__setattr__(self, "given", given)
+
+    @property
+    def spec(self) -> TheoremSpec:
+        return THEOREMS[self.theorem_id]
+
+    def violated(self, ctx: _Ctx) -> bool:
+        """Whether the conclusions the mode decides fail on one context."""
+        if self.mode == "verify":
+            return conclusions_violated(self.spec, ctx)
+        return designated_false(self.spec, ctx)
+
+    def plan(self, cv: _Carriers) -> tuple:
+        """What a scan evaluates, bound once to the columns ``cv`` (see
+        :class:`star._Carriers`) and kept in ``cv.plans``: the level-1 and
+        level-2 gates not dropped, the cheaper first, and the positions of
+        ``live`` where a conclusion the mode decides fails, the mask form
+        of :meth:`violated`.  Verifying skips an equivalence whose members
+        are all reported: its failing positions lie in theirs."""
+        plan = cv.plans.get(self)
+        if plan is None:
+            spec = self.spec
+            plan = cv.plans[self] = (*(tuple(h.test.bind(cv) for h in sorted(
+                (h for h in spec.hyps if h.level == level
+                 and h.name not in self.dropped), key=lambda h: h.test.cost))
+                for level in (1, 2)), _violations(spec, self.mode, cv))
+        return plan
 
 
 def _violations(spec: TheoremSpec, mode: str, cv: _Carriers):

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from idealtop import theorems as thm
 from idealtop.maps import MapProfile, _check_dims, image_table, preimage_table
-from idealtop.search import _violated
 from idealtop.star import _side_tables
 from idealtop.theorems import (Continuous, Homeomorphism, Open, Transport,
                                Witness)
@@ -418,15 +417,14 @@ def predicates_by_walk(inst) -> dict:
     return out
 
 
-def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
-                           my_range):
-    """The search's former block scan, one instance at a time through the
-    scalar gates and conclusion checkers: the least (m_x, m_y, f_index)
-    violating candidate in one topology-pair block, over the given domain
-    and codomain carriers, or None."""
+def scan_block_by_instance(stmt, ws, ix, iy, mx_range, my_range):
+    """The search's former block scan of a statement, one instance at a
+    time through the scalar gates and conclusion checkers: the least
+    (m_x, m_y, f_index) violating candidate in one topology-pair block,
+    over the given domain and codomain carriers, or None."""
     tx, ty = ws.tops_x[ix], ws.tops_y[iy]
     ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), None, None)
-    violated = _violated(mode)
+    spec, dropped = stmt.spec, stmt.dropped
     best = None
     for fi in range(len(ws.maps)):
         ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
@@ -438,7 +436,7 @@ def scan_block_by_instance(spec, dropped, mode, ws, ix, iy, mx_range,
                 ctx.sy = _side_tables(ty, my)
                 if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
                     continue
-                if violated(spec, ctx):
+                if stmt.violated(ctx):
                     key = (mx, my, fi)
                     if best is None or key < best:
                         best = key

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from idealtop import MAX_POINTS, cli
-from idealtop import search as search_mod
+from idealtop.theorems import Statement
 
 
 @pytest.fixture
@@ -165,14 +165,16 @@ def test_search_sample_requires_seed():
 
 
 def test_search_sample_without_drop_checks_every_conclusion(monkeypatch):
-    modes = []
-    violated = search_mod._violated
-    monkeypatch.setattr(search_mod, "_violated",
-                        lambda mode: modes.append(mode) or violated(mode))
+    # the modes in which each run decided its drawn instances' conclusions
+    runs = []
+    violated = Statement.violated
+    monkeypatch.setattr(Statement, "violated", lambda stmt, ctx: (
+        runs[-1].add(stmt.mode) or violated(stmt, ctx)))
     for drop in ([], ["--drop", "continuous"]):
+        runs.append(set())
         assert cli.main(["search", "TC1", "--max-n", "2", "--sample", "10",
                          "--seed", "1", "--quiet"] + drop) in (0, 1)
-    assert modes == ["verify", "find"]
+    assert runs == [{"verify"}, {"find"}]
 
 
 @pytest.mark.parametrize("argv", [

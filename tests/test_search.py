@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from idealtop import (BadMask, BadSearchOption, CapExceeded, SearchBounds,
 from idealtop import search, space, star
 from idealtop.maps import MapProfile
 from idealtop.search import _orbit_reps, _search
-from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS
+from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS, Statement
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355)])
@@ -172,6 +173,27 @@ def test_importing_the_package_imports_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_row_task_is_self_contained():
+    # as a spawn-started pool worker runs it: unpickled in a fresh
+    # interpreter, which has built no workspace, column or plan; the row
+    # has candidates without `continuous`, and none without `surjective`,
+    # which an injection between equal sizes implies
+    row = search._workspace(3, 3).orbits_x[1]
+    tasks = [(Statement("CONTPSI", (drop,), "find"), 3, 3, None, row)
+             for drop in ("surjective", "continuous")]
+    code = ("import pickle, sys; from idealtop import search; "
+            "tasks = pickle.load(sys.stdin.buffer); "
+            "pickle.dump([search._run_row(t) for t in tasks], "
+            "sys.stdout.buffer)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         input=pickle.dumps(tasks), capture_output=True,
+                         check=True, env={**os.environ, "PYTHONPATH":
+                                          os.pathsep.join(sys.path)})
+    alone = pickle.loads(out.stdout)
+    assert alone == [search._run_row(task) for task in tasks]
+    assert not alone[0][0] and alone[1][0]
+
+
 def test_progress_lines_cover_all_blocks():
     runs = []
     for workers in (1, 2):
@@ -245,8 +267,8 @@ def test_carrier_scan_keeps_only_representative_blocks():
     ws = search._workspace(3, 3)
     # every one of the 29 * 29 blocks is read, and the workspace keeps
     # tables per side size and per map only, none per topology pair
-    assert vars(ws).keys() == {"tops_x", "orbits_x", "tops_y", "orbits_y",
-                               "maps", "imgs", "pres"}
+    assert vars(ws).keys() == {"tops_x", "orbits_x", "tops_y", "maps",
+                               "imgs", "pres"}
     assert [len(ws.tops_x), len(ws.orbits_x)] == [29, 9]
     assert [len(ws.maps), len(ws.imgs), len(ws.pres)] == [27, 27, 27]
 
@@ -517,7 +539,7 @@ def all_carriers(bounds):
 def reduced_and_labeled(tid, dropped, mode, bounds, progress=None):
     """(nominal instances, least key) of the reduced and of the labeled scan,
     with the reduced scan's progress."""
-    return [_search(tid, frozenset(dropped), mode, bounds, 1,
+    return [_search(Statement(tid, dropped, mode), bounds, 1,
                     progress if carriers is None else None, carriers)[:2]
             for carriers in (None, all_carriers(bounds))]
 
@@ -618,9 +640,9 @@ def test_single_drops_at_three_points(tid, dropped, found):
 
 def scans(tid):
     """The theorem's verification and its single drops in find mode, as
-    (dropped, mode) pairs."""
-    return [(frozenset(), "verify")] + [
-        (frozenset({h}), "find") for h in THEOREMS[tid].hypothesis_names]
+    statements."""
+    return [Statement(tid)] + [
+        Statement(tid, (h,), "find") for h in THEOREMS[tid].hypothesis_names]
 
 
 def rows(ws, carriers):
@@ -640,21 +662,19 @@ def test_kernel_finds_the_per_instance_least_key_in_every_block(
     # each row's hits are the least key of every block of the row, in
     # block order, on every representative row up to (3,3) and every
     # labeled row with all carriers up to (2,2)
-    spec = THEOREMS[tid]
     carriers = all_carriers(bounds) if labeled else None
-    for dropped, mode in scans(tid):
+    for stmt in scans(tid):
         for pair in bounds.size_pairs():
             ws = search._workspace(*pair)
             for ix, xs in rows(ws, carriers):
-                hits = search._run_row(
-                    (tid, dropped, mode, *pair, carriers, (ix, xs)))[0]
+                hits = search._run_row((stmt, *pair, carriers, (ix, xs)))[0]
                 expected = []
                 for iy, ys in search._blocks(pair[1], carriers):
                     best = oracles.scan_block_by_instance(
-                        spec, dropped, mode, ws, ix, iy, xs, ys)
+                        stmt, ws, ix, iy, xs, ys)
                     if best is not None:
                         expected.append((iy, *best))
-                assert hits == expected, (tid, dropped, pair, ix)
+                assert hits == expected, (stmt, pair, ix)
 
 
 def contexts_of_rows(bounds, carriers):
@@ -790,7 +810,7 @@ def test_verification_skips_only_equivalences_it_cannot_miss(tid):
     # representative row up to (3,3), with every column live
     spec = THEOREMS[tid]
     for ctx, cv, _ in contexts_of_rows(SearchBounds(3, 3), None):
-        violated = search.thm.scan_plan(spec, frozenset(), "verify", cv)[2]
+        violated = Statement(tid).plan(cv)[2]
         forms = {c.name: c.fail.bind(cv) for c in spec.concls
                  if not c.members}
         assert violated(ctx, cv.full) == violations_with_every_equivalence(
@@ -905,6 +925,21 @@ def test_carriers_from_a_generator_are_all_scanned():
             == (0, 3))
 
 
+def test_statements_are_canonical_and_reports_keep_the_callers_order():
+    one = Statement("tc1", ["continuous", "continuous"], "find")
+    assert one == Statement("TC1", ("continuous",), "find")
+    assert hash(one) == hash(Statement("TC1", ("continuous",), "find"))
+    names = ("surjective", "injective", "surjective")
+    assert Statement("CONTPSI", names) == Statement(
+        "CONTPSI", ("injective", "surjective"))
+    found = find_counterexample("contpsi", iter(names), SearchBounds(2, 2))
+    drawn = sample_search("contpsi", names, bounds=SearchBounds(2, 2),
+                          sample=5, seed=0)
+    for r in (found, drawn):
+        assert r.theorem_id == "CONTPSI"
+        assert r.dropped_hypotheses == ("surjective", "injective")
+
+
 @pytest.mark.parametrize("dropped", [None, 3, ["continuous", 3], [None]])
 def test_dropped_hypotheses_must_be_names(monkeypatch, dropped):
     # None and 3 raised a bare TypeError, and a name beside a number one
@@ -920,11 +955,11 @@ def test_dropped_hypotheses_must_be_names(monkeypatch, dropped):
         sample_search("TC1", dropped, sample=5, seed=0)
 
 
-def search_by_instance(tid, dropped, mode, bounds, carriers):
+def search_by_instance(stmt, bounds, carriers):
     """The least labeled key (size pair index, ix, mx, iy, my, fi) of a
     carrier-restricted scan, block by block through the per-instance
     oracle, with the instances walked."""
-    spec, keys, walked = THEOREMS[tid], [], 0
+    keys, walked = [], 0
     for size_idx, pair in enumerate(bounds.size_pairs()):
         ws = search._workspace(*pair)
         xs, ys = (search._carrier_range(n, carriers) for n in pair)
@@ -933,7 +968,7 @@ def search_by_instance(tid, dropped, mode, bounds, carriers):
         for ix in range(len(ws.tops_x)):
             for iy in range(len(ws.tops_y)):
                 best = oracles.scan_block_by_instance(
-                    spec, frozenset(dropped), mode, ws, ix, iy, xs, ys)
+                    stmt, ws, ix, iy, xs, ys)
                 if best is not None:
                     mx, my, fi = best
                     keys.append((size_idx, ix, mx, iy, my, fi))
@@ -949,11 +984,11 @@ def test_rows_without_columns_keep_the_per_instance_result(carriers, tid,
     # 4 = {2} fits no carrier on one or two points, so with (4,) the rows
     # of those sizes have no columns, and no domain carrier either
     bounds = SearchBounds(3, 3)
-    mode = "find" if dropped else "verify"
+    stmt = Statement(tid, dropped, "find" if dropped else "verify")
     lines = []
-    report = search._exhaustive(tid, dropped, mode, bounds, 1,
+    report = search._exhaustive(stmt, bounds, 1,
                                 lambda *line: lines.append(line), carriers)
-    key, walked = search_by_instance(tid, dropped, mode, bounds, carriers)
+    key, walked = search_by_instance(stmt, bounds, carriers)
     assert report.stats["instances_scanned"] == walked
     assert lines[-1][1] == walked
     if key is None:

@@ -43,7 +43,6 @@ def test_registry_is_consistent():
     for spec in thm.THEOREMS.values():
         names = [c.name for c in spec.concls]
         info = [c.name for c in spec.concls if not c.report]
-        info += [name for name, _ in spec.info]
         assert len(set(names)) == len(names), spec.theorem_id
         assert len(set(info)) == len(info), spec.theorem_id
         assert len(set(spec.hypothesis_names)) == len(spec.hyps)
@@ -421,7 +420,7 @@ def plan_gates(spec, dropped=frozenset()):
     with pytest.MonkeyPatch.context() as mp:
         for cls in (thm.Continuous, thm.Open, thm.Homeomorphism, thm.Gate):
             mp.setattr(cls, "bind", lambda self, cv: lambda ctx: self)
-        plan = thm.scan_plan(spec, dropped, "verify", fresh_columns())
+        plan = thm.Statement(spec.theorem_id, dropped).plan(fresh_columns())
     return [[gate(None) for gate in level] for level in plan[:2]]
 
 
