@@ -561,9 +561,8 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
     start = time.perf_counter()
     pairs = bounds.size_pairs()
     found: Optional[thm.Instance] = None
-    visited = level1 = level2 = 0
-    for _ in range(sample):
-        visited += 1
+    level1 = level2 = 0
+    for visited in range(1, sample + 1):
         n_dom, n_cod = pairs[rng.randrange(len(pairs))]
         ws = _workspace(n_dom, n_cod)
         ix = rng.randrange(len(ws.tops_x))
@@ -571,8 +570,9 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         mx = rng.randrange(1 << n_dom)
         my = rng.randrange(1 << n_cod)
         fi = rng.randrange(len(ws.maps))
-        inst = _instance_from_key(ws, ix, mx, iy, my, fi)
-        ctx = thm._ctx_for(inst)
+        ctx = thm._Ctx(_side_tables(ws.tops_x[ix], mx),
+                       _side_tables(ws.tops_y[iy], my),
+                       ws.imgs[fi], ws.pres[fi])
         if not thm.hypotheses_pass(spec, ctx, dropped, 1):
             continue
         level1 += 1
@@ -580,7 +580,7 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
             continue
         level2 += 1
         if stmt.violated(ctx):
-            found = inst
+            found = _instance_from_key(ws, ix, mx, iy, my, fi)
             break
     stats = {"instances_scanned": visited, "level1_passed": level1,
              "level2_passed": level2}

@@ -65,6 +65,7 @@ same tables as its scalar form; the tests pin the two to each other.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Collection, Iterable, Iterator, Optional
@@ -760,31 +761,25 @@ def hypotheses_pass(spec: TheoremSpec, ctx: _Ctx, dropped: Collection[str],
 
 
 def conclusions_violated(spec: TheoremSpec, ctx: _Ctx) -> bool:
-    for c, w in _concl_results(spec, ctx):
-        if c.report and w is not None:
-            return True
-    return False
-
-
-def designated_false(spec: TheoremSpec, ctx: _Ctx) -> bool:
-    return next(w for c, w in _concl_results(spec, ctx)
-                if c.name == spec.designated) is not None
+    return Statement(spec.theorem_id).violated(ctx)
 
 
 @dataclass(frozen=True)
 class Statement:
     """A theorem with some hypotheses dropped, and the mode a search decides
-    it in: "verify" for a reported conclusion failing, "find" for the
-    designated one.  Refuses a ``dropped`` other than a sequence of the
-    theorem's hypothesis names (a bare string would read as letters) and
-    any other mode.  Equal statements compare and hash equal, since the id
-    is the registered one and ``dropped`` is sorted without repeats;
-    ``given`` keeps the caller's order, for the report."""
+    it in: ``decides`` holds the designated conclusion for "find", and for
+    "verify" each reported one but an equivalence whose members are all
+    reported, which fails only where one of them does.  Refuses a
+    ``dropped`` other than a collection of the theorem's hypothesis names (a
+    bare string would read as letters) and any other mode.  Equal statements
+    compare and hash equal, as ``dropped`` is sorted without repeats;
+    ``given`` keeps the caller's order for the report, sorted for a set."""
 
     theorem_id: str
     dropped: tuple[str, ...] = ()
     mode: str = "verify"
     given: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    decides: tuple[ConclSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = (tuple(self.dropped) if isinstance(self.dropped, Iterable)
@@ -802,61 +797,66 @@ class Statement:
         if self.mode not in ("find", "verify"):
             raise BadSearchOption(
                 f"mode must be 'find' or 'verify', got {self.mode!r}")
-        given = tuple(dict.fromkeys(names))
+        given = tuple(sorted(names) if isinstance(self.dropped, Set)
+                      else dict.fromkeys(names))
+        reported = {c.name for c in spec.concls if c.report}
         object.__setattr__(self, "theorem_id", spec.theorem_id)
         object.__setattr__(self, "dropped", tuple(sorted(given)))
         object.__setattr__(self, "given", given)
+        object.__setattr__(self, "decides", tuple(c for c in spec.concls if (
+            c.name == spec.designated if self.mode == "find" else c.report
+            and not (c.members and reported.issuperset(c.members)))))
 
     @property
     def spec(self) -> TheoremSpec:
         return THEOREMS[self.theorem_id]
 
     def violated(self, ctx: _Ctx) -> bool:
-        """Whether the conclusions the mode decides fail on one context."""
-        if self.mode == "verify":
-            return conclusions_violated(self.spec, ctx)
-        return designated_false(self.spec, ctx)
+        """Whether a conclusion of ``decides`` fails on one context; none
+        after the last of them is evaluated."""
+        for c, w in _concl_results(self.spec, ctx):
+            if w is not None and c in self.decides:
+                return True
+            if c == self.decides[-1]:
+                return False
 
     def plan(self, cv: _Carriers) -> tuple:
-        """What a scan evaluates, bound once to the columns ``cv`` (see
-        :class:`star._Carriers`) and kept in ``cv.plans``: the level-1 and
-        level-2 gates not dropped, the cheaper first, and the positions of
-        ``live`` where a conclusion the mode decides fails, the mask form
-        of :meth:`violated`.  Verifying skips an equivalence whose members
-        are all reported: its failing positions lie in theirs."""
+        """What a scan evaluates, bound once to the columns ``cv`` and kept
+        in ``cv.plans``: the level-1 and level-2 gates not dropped, the
+        cheaper first, and the mask form of :meth:`violated` over ``live``."""
         plan = cv.plans.get(self)
         if plan is None:
             spec = self.spec
             plan = cv.plans[self] = (*(tuple(h.test.bind(cv) for h in sorted(
                 (h for h in spec.hyps if h.level == level
                  and h.name not in self.dropped), key=lambda h: h.test.cost))
-                for level in (1, 2)), _violations(spec, self.mode, cv))
+                for level in (1, 2)), _violations(spec, self.decides, cv))
         return plan
 
 
-def _violations(spec: TheoremSpec, mode: str, cv: _Carriers):
-    concl = {c.name: c for c in spec.concls}
-    wanted = [c for c in spec.concls if c.name == spec.designated] if (
-        mode == "find") else [c for c in spec.concls if c.report and not (
-            c.members and all(concl[m].report for m in c.members))]
-    names = list(dict.fromkeys(m for c in wanted
-                               for m in c.members or [c.name]))
-    forms, full = [concl[name].fail.bind(cv) for name in names], cv.full
-    if len(forms) == 1:
-        return lambda ctx, live: live & ~forms[0](ctx)
-    # where not all members hold and, for an equivalence, some do
-    checks = [([names.index(m) for m in c.members or [c.name]],
-               0 if c.members else full) for c in wanted]
+def _violations(spec: TheoremSpec, decides: tuple, cv: _Carriers):
+    # where not all of a group hold and some do: the plain conclusions of
+    # ``decides``, and the members of its equivalences, those sharing one
+    # joined, as they fail together where the joined members disagree
+    joined = []
+    for group in (set(c.members) for c in decides if c.members):
+        meet = [g for g in joined if g & group]
+        joined = [g for g in joined if g not in meet] + [group.union(*meet)]
+    plain = {c.name for c in decides if not c.members}
+    forms = {c.name: c.fail.bind(cv) for c in spec.concls
+             if c.name in plain.union(*joined)}
+    full = cv.full
+    groups = [(some, [f for m, f in forms.items() if m in g])
+              for some, g in [(full, plain)] + [(0, g) for g in joined]]
     def violated(ctx, live):
-        held = [form(ctx) for form in forms]
         bad = 0
-        for members, some in checks:
+        for some, members in groups:
             every = full
-            for i in members:
-                every &= held[i]
-                some |= held[i]
-            bad |= live & some & ~every
-        return bad
+            for form in members:
+                every &= (held := form(ctx))
+                some |= held
+            bad |= some & ~every
+        return live & bad
     return violated
 
 

@@ -419,12 +419,18 @@ def predicates_by_walk(inst) -> dict:
 
 def scan_block_by_instance(stmt, ws, ix, iy, mx_range, my_range):
     """The search's former block scan of a statement, one instance at a
-    time through the scalar gates and conclusion checkers: the least
+    time through the scalar gates and the verdict of ``check``: the least
     (m_x, m_y, f_index) violating candidate in one topology-pair block,
-    over the given domain and codomain carriers, or None."""
+    over the given domain and codomain carriers, or None.  A violation is
+    a reported conclusion failing in verify mode, and the designated one
+    in find mode, decided here from the verdict, not by the statement."""
     tx, ty = ws.tops_x[ix], ws.tops_y[iy]
     ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), None, None)
     spec, dropped = stmt.spec, stmt.dropped
+    if stmt.mode == "verify":
+        violated = lambda verdict: not verdict.all_conclusions
+    else:
+        violated = lambda verdict: not verdict.conclusion(spec.designated)
     best = None
     for fi in range(len(ws.maps)):
         ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
@@ -436,7 +442,7 @@ def scan_block_by_instance(stmt, ws, ix, iy, mx_range, my_range):
                 ctx.sy = _side_tables(ty, my)
                 if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
                     continue
-                if stmt.violated(ctx):
+                if violated(thm.check_with_ctx(spec, ctx)):
                     key = (mx, my, fi)
                     if best is None or key < best:
                         best = key

@@ -817,6 +817,44 @@ def test_verification_skips_only_equivalences_it_cannot_miss(tid):
             spec, forms, ctx, cv.full)
 
 
+def test_statements_decide_as_the_check_verdict_does():
+    # verify mode where a reported conclusion of the verdict fails, find
+    # mode where the designated one does, on every labeled instance up to
+    # (2,2)
+    stmts = [(THEOREMS[tid], Statement(tid), Statement(tid, (), "find"))
+             for tid in ALL_THEOREM_IDS]
+    checked = 0
+    for _, _, scalars in contexts_of_rows(SearchBounds(2, 2),
+                                          all_carriers(SearchBounds(2, 2))):
+        for one in scalars:
+            for spec, verify, find in stmts:
+                verdict = search.thm.check_with_ctx(spec, one)
+                assert verify.violated(one) is not verdict.all_conclusions
+                assert find.violated(one) is not verdict.conclusion(
+                    spec.designated)
+        checked += len(scalars)
+    assert checked == 1_124
+
+
+def test_verify_sampling_never_evaluates_an_unreported_conclusion(
+        monkeypatch):
+    # CLOSEDSUR's `b` is informational, and follows `a`, the last
+    # conclusion a verification decides
+    calls = collections.Counter()
+    for name in ("__call__", "holds"):
+        def counted(self, ctx, name=name,
+                    fn=getattr(search.thm.Transport, name)):
+            calls[self, name] += 1
+            return fn(self, ctx)
+        monkeypatch.setattr(search.thm.Transport, name, counted)
+    r = sample_search("CLOSEDSUR", bounds=SearchBounds(4, 4), sample=3000,
+                      seed=7, mode="verify")
+    a, b = (c.fail for c in THEOREMS["CLOSEDSUR"].concls)
+    assert r.counterexample is None and r.stats["level2_passed"] > 0
+    assert calls[a, "__call__"] > 0
+    assert calls[b, "__call__"] == calls[b, "holds"] == 0
+
+
 def test_certification_enumerates_no_open_set_and_no_carrier_one_by_one(
         monkeypatch):
     # from empty caches; a scalar checker could only decide another
@@ -938,6 +976,21 @@ def test_statements_are_canonical_and_reports_keep_the_callers_order():
     for r in (found, drawn):
         assert r.theorem_id == "CONTPSI"
         assert r.dropped_hypotheses == ("surjective", "injective")
+
+
+def test_a_set_of_dropped_names_is_reported_sorted_in_every_run():
+    # a set iterates in the order of its names' hashes, which
+    # PYTHONHASHSEED varies: the report read ('preimage_ok', 'continuous')
+    # under 1-4 and 6, and the reverse under 5
+    code = ("from idealtop import SearchBounds, find_counterexample; "
+            "print(find_counterexample('TC1', {'continuous', 'preimage_ok'}, "
+            "SearchBounds(2, 2)).dropped_hypotheses)")
+    for seed in range(7):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": str(seed),
+                             "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "('continuous', 'preimage_ok')", seed
 
 
 @pytest.mark.parametrize("dropped", [None, 3, ["continuous", 3], [None]])

@@ -1,6 +1,7 @@
 """Verdicts, the checker registry, and the counterexample constructions."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +39,8 @@ def test_registry_contents():
 
 
 def test_registry_is_consistent():
-    # the members rule and designated_false read only plain conclusions
+    # the members rule reads only plain conclusions, and the test oracle
+    # reads the designated conclusion off the verdict's reported ones
     side = _side_tables(sierpinski(), 0b10)
     for spec in thm.THEOREMS.values():
         names = [c.name for c in spec.concls]
@@ -47,6 +49,7 @@ def test_registry_is_consistent():
         assert len(set(info)) == len(info), spec.theorem_id
         assert len(set(spec.hypothesis_names)) == len(spec.hyps)
         assert spec.designated in names, spec.theorem_id
+        assert spec.designated not in info, spec.theorem_id
         plain = set()
         for c in spec.concls:
             if c.members:
@@ -455,6 +458,41 @@ def test_every_conclusion_has_a_mask_form():
         for c in spec.concls:
             if not c.members:
                 bound_mask(c.fail, cv)
+
+
+class Held:
+    """A conclusion whose mask form reads its mask off the context, a dict
+    by name, and that records each binding."""
+
+    def __init__(self, name, bound):
+        self.name, self.bound = name, bound
+
+    def bind(self, cv):
+        self.bound.append(self.name)
+        return lambda ctx: ctx[self.name]
+
+
+def test_equivalences_that_share_a_member_are_decided_as_one_group():
+    # (a, b) and (c, d) meet through (b, c), and (e, f) stands alone; the
+    # joined mask is where some of the equivalences or the plain `p` fails,
+    # on random masks over four columns, and each member is bound once
+    bound = []
+    plain = [thm.ConclSpec(n, Held(n, bound)) for n in "pabcdefq"]
+    equivs = [thm.ConclSpec(m, members=tuple(m))
+              for m in ("ab", "cd", "bc", "ef")]
+    spec = thm.TheoremSpec("T", (), (*plain, *equivs), designated="p")
+    full = 0b1111
+    violated = thm._violations(spec, (plain[0], *equivs),
+                               SimpleNamespace(full=full))
+    assert sorted(bound) == list("abcdefp")
+    rng = random.Random(0)
+    for _ in range(500):
+        ctx = {n: rng.randrange(full + 1) for n in "pabcdef"}
+        live = rng.randrange(full + 1)
+        expected = full & ~ctx["p"]
+        for x, y in ("ab", "cd", "bc", "ef"):
+            expected |= ctx[x] ^ ctx[y]
+        assert violated(ctx, live) == live & expected, ctx
 
 
 def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
