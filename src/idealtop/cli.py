@@ -379,7 +379,7 @@ def cmd_enumerate(args) -> int:
         items = search_mod.enumerate_ideals(n)
         render = lambda i: json.dumps(ideal_to_json(i))
     else:
-        n_cod = args.n_cod if args.n_cod else n
+        n_cod = n if args.n_cod is None else args.n_cod
         if max(n, n_cod) > 5:
             raise IdealTopError("map enumeration capped at 5 points per side")
         items = search_mod.enumerate_maps(n, n_cod)
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--what", choices=("topologies", "ideals", "maps"),
                     required=True)
     pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--n-cod", type=int, default=0,
+    pe.add_argument("--n-cod", type=int, default=None,
                     help="map codomain size (defaults to --n)")
     pe.add_argument("--count-only", action="store_true")
     pe.set_defaults(fn=cmd_enumerate)

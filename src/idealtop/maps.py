@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BadPoint, DimensionMismatch
 from .space import Topology, check_mask, check_point_count, full_mask
-from .star import _top_tables
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ def preimage(f: FiniteMap, b: int) -> int:
     return f.preimage(b)
 
 
-@lru_cache(maxsize=None)
 def image_table(f: FiniteMap) -> tuple[int, ...]:
     """Forward image of every subset of the domain, indexed by mask."""
     n = f.n_dom
@@ -104,7 +101,6 @@ def image_table(f: FiniteMap) -> tuple[int, ...]:
     return tuple(tab)
 
 
-@lru_cache(maxsize=None)
 def preimage_table(f: FiniteMap) -> tuple[int, ...]:
     """Preimage of every subset of the codomain, indexed by mask."""
     singles = [0] * f.n_cod
@@ -197,7 +193,7 @@ def classify(f: FiniteMap, t_dom: Topology, t_cod: Topology) -> MapProfile:
     """
     _check_dims(f, t_dom, t_cod)
     img = image_table(f)
-    cl_x, cl_y = _top_tables(t_dom).cl, _top_tables(t_cod).cl
+    cl_x, cl_y = t_dom._closures, t_cod._closures
     nb_x, nb_y = t_dom.min_nbhd, t_cod.min_nbhd
     return MapProfile(_continuous(img, nb_x, nb_y), _open(img, nb_x, cl_y),
                       _closed(img, cl_x, cl_y), f.injective, f.surjective)

@@ -37,7 +37,7 @@ from .errors import BadMask, BadSearchOption, CapExceeded
 from .ideal import Ideal
 from .maps import FiniteMap, image_table, preimage_table
 from .space import Topology, check_point_count, full_mask
-from .star import IdealSpace, _Carriers, _side_tables
+from .star import IdealSpace, _Carriers, _Side
 from . import theorems as thm
 
 TOPOLOGY_ENUM_CAP = 5  # labeled topologies on 6+ points are out of reach here
@@ -248,13 +248,18 @@ def _blocks(n: int, carriers: Optional[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
+def _side(n: int, ix: int, carrier: int) -> _Side:
+    """The tables of topology ``ix`` of :func:`_classes` with ``carrier``."""
+    return _Side(_classes(n)[0][ix], carrier)
+
+
+@lru_cache(maxsize=None)
 def _columns(n: int, carriers: Optional[tuple[int, ...]]) -> _Carriers:
     """The columns of every scan row on ``n`` codomain points, one bit
     position per (topology, carrier) of :func:`_blocks`, block by block,
     with their tables (:class:`star._Carriers`)."""
-    tops = _classes(n)[0]
-    return _Carriers(n, [[_side_tables(tops[iy], my) for my in ys]
-                             for iy, ys in _blocks(n, carriers)])
+    return _Carriers(n, [[_side(n, iy, my) for my in ys]
+                         for iy, ys in _blocks(n, carriers)])
 
 
 class _Workspace:
@@ -306,7 +311,7 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
         return [], 0, 0
     ws = _workspace(n_dom, n_cod)
     cv = _columns(n_cod, carriers)
-    sides_x = [_side_tables(ws.tops_x[ix], mx) for mx in mx_range]
+    sides_x = [_side(n_dom, ix, mx) for mx in mx_range]
     gates1, gates2, violated = stmt.plan(cv)
     ctx = thm._Ctx(sides_x[0], None, None, None)
     # each block's least candidate as (index of m_x, position, fi), and
@@ -503,11 +508,13 @@ def _finish(stmt: thm.Statement, bounds: SearchBounds, instances: int,
 
 
 def default_workers() -> int:
-    env = os.environ.get("IDEALTOP_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """``IDEALTOP_WORKERS``, or 1 when it is unset.  Refuses a value that is
+    not an integer of at least 1."""
+    env = os.environ.get("IDEALTOP_WORKERS", "1")
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise BadSearchOption(f"IDEALTOP_WORKERS must be an integer of at "
+                              f"least 1, got {env!r}")
+    return int(env)
 
 
 def verify_exhaustive(theorem_id: str, bounds: SearchBounds = SearchBounds(),
@@ -570,8 +577,7 @@ def sample_search(theorem_id: str, dropped_hypotheses=(), *,
         mx = rng.randrange(1 << n_dom)
         my = rng.randrange(1 << n_cod)
         fi = rng.randrange(len(ws.maps))
-        ctx = thm._Ctx(_side_tables(ws.tops_x[ix], mx),
-                       _side_tables(ws.tops_y[iy], my),
+        ctx = thm._Ctx(_side(n_dom, ix, mx), _side(n_cod, iy, my),
                        ws.imgs[fi], ws.pres[fi])
         if not thm.hypotheses_pass(spec, ctx, dropped, 1):
             continue

@@ -11,7 +11,7 @@ lossless and makes closure/interior linear in the point count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BadMask, BadPoint, CapExceeded, NotATopology
@@ -93,6 +93,7 @@ class Topology:
     Invariants enforced at construction: every ``min_nbhd[x]`` contains
     ``x`` and ``y in min_nbhd[x]`` implies ``min_nbhd[y] <= min_nbhd[x]``.
     A subset ``U`` is open iff ``min_nbhd[x] <= U`` for every ``x in U``.
+    Its opens and closure table are kept once read, outside equality.
     """
 
     n: int
@@ -130,7 +131,25 @@ class Topology:
 
     def opens(self) -> tuple[int, ...]:
         """All open sets, ascending by mask value."""
-        return _opens_of(self)
+        return self._opens
+
+    @cached_property
+    def _opens(self) -> tuple[int, ...]:
+        return tuple(a for a in range(self.full + 1)
+                     if _is_open_unchecked(self.min_nbhd, a))
+
+    @cached_property
+    def _closures(self) -> tuple[int, ...]:
+        """The closure of every subset, by mask: closure is additive and
+        ``cl{x}`` holds the points whose minimal neighborhood holds ``x``,
+        so ``cl[a] = cl[a - {x}] | cl{x}`` for the least ``x`` in ``a``."""
+        up = [sum(1 << y for y, nb in enumerate(self.min_nbhd) if nb >> x & 1)
+              for x in range(self.n)]
+        cl = [0] * (self.full + 1)
+        for a in range(1, self.full + 1):
+            low = a & -a
+            cl[a] = cl[a ^ low] | up[low.bit_length() - 1]
+        return tuple(cl)
 
     def closed_sets(self) -> tuple[int, ...]:
         """All closed sets, ascending by mask value."""
@@ -155,12 +174,6 @@ class Topology:
     def __repr__(self) -> str:  # compact, e.g. Topology(2, [{0, 1}, {1}])
         table = ", ".join(format_mask(m) for m in self.min_nbhd)
         return f"Topology({self.n}, [{table}])"
-
-
-@lru_cache(maxsize=None)
-def _opens_of(top: Topology) -> tuple[int, ...]:
-    return tuple(a for a in range(1 << top.n)
-                 if _is_open_unchecked(top.min_nbhd, a))
 
 
 def _is_open_unchecked(min_nbhd: tuple[int, ...], a: int) -> bool:

@@ -14,12 +14,14 @@ Every ideal on a finite set is a carrier ideal: the power set of a carrier
 definitional quantifier over all open neighborhoods is kept as
 :func:`local_function_by_definition` so tests can pin the shortcut to it.
 
-Each (topology, carrier) pair has one set of tables (:class:`_Side`, built
-once and cached by :func:`_side_tables`): the local function, star closure
-and psi of every subset, and the minimal neighborhoods of the star and psi
-topologies.  The operators below read those tables, and so do the theorem
-checkers and the search, so every operator has exactly one implementation.
-The search's column tables (:class:`_Carriers`) are built from them too.
+Each (topology, carrier) pair has one set of tables (:class:`_Side`): the
+local function, star closure and psi of every subset, and the minimal
+neighborhoods of the star and psi topologies.  An :class:`IdealSpace` keeps
+its side once read (``IdealSpace._side``), and the search keeps its sides
+by topology index (``search._side``).  The operators below read those
+tables, and so do the theorem checkers and the search, so every operator
+has exactly one implementation.  The search's column tables
+(:class:`_Carriers`) are built from them too.
 A finite space is Alexandrov, so a topology is its minimal-neighborhood
 table and nothing else: the star and psi topologies are built from theirs
 in closed form (see :class:`_Side`), and no open-set family is enumerated.
@@ -32,7 +34,7 @@ psi, live in the test oracles (``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from .ideal import Ideal
@@ -59,46 +61,26 @@ class IdealSpace:
     def full(self) -> int:
         return self.top.full
 
+    @cached_property
+    def _side(self) -> "_Side":
+        """The space's tables (:class:`_Side`), kept once read."""
+        return _Side(self.top, self.ideal.carrier)
+
     def __repr__(self) -> str:
         return f"IdealSpace({self.top!r}, carrier={format_mask(self.ideal.carrier)})"
 
 
 # ---------------------------------------------------------------------------
-# per-topology and per-(topology, carrier) tables
+# per-(topology, carrier) tables
 # ---------------------------------------------------------------------------
-
-class _TopT:
-    """Per-topology tables: closure of every subset, separation flags.
-
-    Closure is additive, and the closure of ``{x}`` is the set of points
-    whose minimal neighborhood holds ``x``; so the table is built by
-    ``cl[a] = cl[a - {x}] | cl{x}`` with ``x`` the least point of ``a``.
-    """
-
-    __slots__ = ("n", "full", "min_nbhd", "cl", "regular", "hausdorff")
-
-    def __init__(self, top: Topology) -> None:
-        self.n = n = top.n
-        self.full = top.full
-        self.min_nbhd = top.min_nbhd
-        up = [sum(1 << y for y, nb in enumerate(top.min_nbhd) if nb >> x & 1)
-              for x in range(n)]
-        cl = [0] * (self.full + 1)
-        for a in range(1, self.full + 1):
-            low = a & -a
-            cl[a] = cl[a ^ low] | up[low.bit_length() - 1]
-        self.cl = tuple(cl)
-        prof = separation_profile(top)
-        self.regular = prof.regular
-        self.hausdorff = prof.hausdorff
-
 
 class _Side:
     """Per-(topology, carrier) tables: local function, star closure and psi
     of every subset, the minimal neighborhoods of the star and psi
     topologies, and the flag for the whole space being its own local
-    function; with the topology's minimal neighborhoods and closure table
-    (``min_nbhd``, ``cl``), so that every table has one name on a side.
+    function; with the topology's minimal neighborhoods, closure table and
+    separation flags (``min_nbhd``, ``cl``, ``regular``, ``hausdorff``),
+    so that every table has one name on a side.
 
     ``U`` is star-open iff its complement ``C`` holds its own local function
     ``closure(C - M)``, that is iff no point of ``U`` has a minimal
@@ -116,46 +98,30 @@ class _Side:
     ``psi(N(x)) = psi(N(x) - M) <= psi(U)``.
     """
 
-    __slots__ = ("tt", "n", "full", "carrier", "min_nbhd", "cl", "star",
-                 "cl_star", "psi", "star_nbhd", "psi_nbhd", "star_full")
+    __slots__ = ("n", "full", "carrier", "min_nbhd", "cl", "regular",
+                 "hausdorff", "star", "cl_star", "psi", "star_nbhd",
+                 "psi_nbhd", "star_full")
 
-    def __init__(self, tt: _TopT, carrier: int) -> None:
-        self.tt = tt
-        self.n = tt.n
-        self.full = full = tt.full
+    def __init__(self, top: Topology, carrier: int) -> None:
+        self.n = top.n
+        self.full = full = top.full
         self.carrier = carrier
-        self.min_nbhd = tt.min_nbhd
-        self.cl = cl = tt.cl
+        self.min_nbhd = top.min_nbhd
+        self.cl = cl = top._closures
+        prof = separation_profile(top)
+        self.regular, self.hausdorff = prof.regular, prof.hausdorff
         not_m = full & ~carrier
         self.star = star = tuple(cl[a & not_m] for a in range(full + 1))
         self.cl_star = tuple(a | star[a] for a in range(full + 1))
         self.psi = tuple(full ^ star[full ^ a] for a in range(full + 1))
         self.star_nbhd = tuple((nb & not_m) | 1 << x
-                               for x, nb in enumerate(tt.min_nbhd))
-        self.psi_nbhd = tuple(self.psi[nb] for nb in tt.min_nbhd)
+                               for x, nb in enumerate(top.min_nbhd))
+        self.psi_nbhd = tuple(self.psi[nb] for nb in top.min_nbhd)
         self.star_full = star[full] == full
-
-
-@lru_cache(maxsize=None)
-def _top_tables(top: Topology) -> _TopT:
-    return _TopT(top)
-
-
-@lru_cache(maxsize=None)
-def _side_tables(top: Topology, carrier: int) -> _Side:
-    return _Side(_top_tables(top), carrier)
-
-
-def _side_of(s: IdealSpace) -> _Side:
-    return _side_tables(s.top, s.ideal.carrier)
 
 
 _TESTS = {"sub": lambda u, v: not u & ~v, "sup": lambda u, v: not v & ~u,
           "eq": lambda u, v: u == v, "disj": lambda u, v: not u & v}
-
-
-# flags of the column's topology
-_TOPOLOGY_FLAGS = ("regular", "hausdorff")
 
 
 class _Carriers(dict):
@@ -194,9 +160,9 @@ class _Carriers(dict):
             at += len(block)
 
     def __missing__(self, key):
-        if key in _TOPOLOGY_FLAGS:
+        if key in ("regular", "hausdorff"):  # flags of the side's topology
             tab = sum(1 << j for j, s in enumerate(self.sides)
-                      if getattr(s.tt, key))
+                      if getattr(s, key))
         elif key[0] == "carrier":
             tab = self._row([s.carrier for s in self.sides], _TESTS[key[1]])
         else:
@@ -228,7 +194,7 @@ def local_function(s: IdealSpace, a: int) -> int:
     x qualifies iff ``min_nbhd[x] & a`` is not in the ideal.
     """
     check_mask(a, s.n)
-    return _side_of(s).star[a]
+    return s._side.star[a]
 
 
 def local_function_by_definition(s: IdealSpace, a: int) -> int:
@@ -247,27 +213,27 @@ def local_function_by_definition(s: IdealSpace, a: int) -> int:
 def star_closure(s: IdealSpace, a: int) -> int:
     """``a`` together with its local function; a Kuratowski closure."""
     check_mask(a, s.n)
-    return _side_of(s).cl_star[a]
+    return s._side.cl_star[a]
 
 
 def psi(s: IdealSpace, a: int) -> int:
     """Complement of the local function of the complement; always open in
     the base topology, being the complement of a closure."""
     check_mask(a, s.n)
-    return _side_of(s).psi[a]
+    return s._side.psi[a]
 
 
 def star_topology(s: IdealSpace) -> Topology:
     """The finer topology whose closed sets are the ``A* <= A`` sets, with
     minimal neighborhoods ``(N(x) - M) | {x}`` (see :class:`_Side`).  It
     always sits between the base topology and the discrete topology."""
-    return Topology(s.n, _side_of(s).star_nbhd)
+    return Topology(s.n, s._side.star_nbhd)
 
 
 def psi_topology(s: IdealSpace) -> Topology:
     """Smallest topology containing the psi-image of every open set, with
     minimal neighborhoods ``psi(N(x))`` (see :class:`_Side`)."""
-    return Topology(s.n, _side_of(s).psi_nbhd)
+    return Topology(s.n, s._side.psi_nbhd)
 
 
 def is_compatible(s: IdealSpace) -> bool:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .errors import (BadPoint, BadSearchOption, CapExceeded,
@@ -76,7 +76,7 @@ from .ideal import Ideal
 from .maps import (FiniteMap, _closed, _continuous, _open, image_table,
                    preimage_table)
 from .space import MAX_POINTS, Topology, _is_open_unchecked, full_mask, points_of
-from .star import IdealSpace, _Carriers, _Side, _side_tables
+from .star import IdealSpace, _Carriers, _Side
 # unused here; perfbench/tracer.py wraps these attributes of this module by name
 from .maps import classify
 from .star import is_compatible, is_ideal_compact
@@ -116,6 +116,13 @@ class Instance:
     @staticmethod
     def from_json(doc: object) -> "Instance":
         return jsonio.parse_instance(doc)
+
+    @cached_property
+    def _ctx(self) -> "_Ctx":
+        """What a check reads, kept once read: ``check ... all`` builds the
+        tables of the two sides and the map once for its 13 checks."""
+        return _Ctx(self.X._side, self.Y._side, image_table(self.f),
+                    preimage_table(self.f))
 
 
 @dataclass(frozen=True)
@@ -196,16 +203,6 @@ class _Ctx:
         self.sy = sy
         self.img = img
         self.pre = pre
-
-
-# one entry: the 13 checks of ``check ... all`` on one instance share the
-# tables of its two sides and its map
-@lru_cache(maxsize=1)
-def _ctx_for(inst: Instance) -> _Ctx:
-    f = inst.f
-    return _Ctx(_side_tables(inst.X.top, inst.X.ideal.carrier),
-                _side_tables(inst.Y.top, inst.Y.ideal.carrier),
-                image_table(f), preimage_table(f))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +618,7 @@ _SPECS = (
         (HypSpec("domain_star_full", 2, Gate(
             1, lambda ctx: ctx.sx.star_full)),
          HypSpec("codomain_regular", 1, Gate(
-             0, lambda ctx: ctx.sy.tt.regular,
+             0, lambda ctx: ctx.sy.regular,
              lambda cv: _constant(cv["regular"])))),
         (ConclSpec("continuous_base", _BASE_CONT, report=False),
          ConclSpec("continuous_star", _STAR_TO_BASE, report=False),
@@ -634,7 +631,7 @@ _SPECS = (
          HypSpec("surjective", 1, _SURJECTIVE),
          HypSpec("ideal_compact", 0, _ALWAYS),
          HypSpec("codomain_hausdorff", 1, Gate(
-             0, lambda ctx: ctx.sy.tt.hausdorff,
+             0, lambda ctx: ctx.sy.hausdorff,
              lambda cv: _constant(cv["hausdorff"]))),
          HypSpec("image_ideal_equal", 2, _IMAGE_IDEAL_EQUAL),
          HypSpec("star_to_base_continuous", 2, _STAR_TO_BASE)),
@@ -733,7 +730,7 @@ def _select_witness(results) -> Optional[Witness]:
 
 def check(theorem_id: str, inst: Instance) -> Verdict:
     """Evaluate one theorem on one instance."""
-    return check_with_ctx(spec_for(theorem_id), _ctx_for(inst))
+    return check_with_ctx(spec_for(theorem_id), inst._ctx)
 
 
 def check_with_ctx(spec: TheoremSpec, ctx: _Ctx) -> Verdict:

@@ -12,9 +12,8 @@ are kept here as they were, to pin the new forms to.
 from functools import lru_cache
 from itertools import combinations
 
-from idealtop import theorems as thm
+from idealtop import search, theorems as thm
 from idealtop.maps import MapProfile, _check_dims, image_table, preimage_table
-from idealtop.star import _side_tables
 from idealtop.theorems import (Continuous, Homeomorphism, Open, Transport,
                                Witness)
 
@@ -424,8 +423,9 @@ def scan_block_by_instance(stmt, ws, ix, iy, mx_range, my_range):
     over the given domain and codomain carriers, or None.  A violation is
     a reported conclusion failing in verify mode, and the designated one
     in find mode, decided here from the verdict, not by the statement."""
-    tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-    ctx = thm._Ctx(_side_tables(tx, 0), _side_tables(ty, 0), None, None)
+    n_dom, n_cod = ws.tops_x[ix].n, ws.tops_y[iy].n
+    ctx = thm._Ctx(search._side(n_dom, ix, 0), search._side(n_cod, iy, 0),
+                   None, None)
     spec, dropped = stmt.spec, stmt.dropped
     if stmt.mode == "verify":
         violated = lambda verdict: not verdict.all_conclusions
@@ -437,9 +437,9 @@ def scan_block_by_instance(stmt, ws, ix, iy, mx_range, my_range):
         if not thm.hypotheses_pass(spec, ctx, dropped, level=1):
             continue
         for mx in mx_range:
-            ctx.sx = _side_tables(tx, mx)
+            ctx.sx = search._side(n_dom, ix, mx)
             for my in my_range:
-                ctx.sy = _side_tables(ty, my)
+                ctx.sy = search._side(n_cod, iy, my)
                 if not thm.hypotheses_pass(spec, ctx, dropped, level=2):
                     continue
                 if violated(thm.check_with_ctx(spec, ctx)):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from idealtop import MAX_POINTS, cli
+from idealtop.errors import IdealTopError
 from idealtop.theorems import Statement
 
 
@@ -94,7 +95,9 @@ def test_enumerate_ideals_over_point_cap_is_exit_2(capsys):
 @pytest.mark.parametrize("argv", [["--what", "ideals", "--n", "-2"],
                                   ["--what", "maps", "--n", "-1"],
                                   ["--what", "maps", "--n", "2",
-                                   "--n-cod", "-1"]])
+                                   "--n-cod", "-1"],
+                                  ["--what", "maps", "--n", "2",
+                                   "--n-cod", "0", "--count-only"]])
 def test_enumerate_negative_size_is_exit_2(capsys, argv):
     assert cli.main(["enumerate", *argv]) == 2
     err = capsys.readouterr().err
@@ -250,6 +253,26 @@ def test_workers_env_var_default(monkeypatch, capsys):
     assert default_workers() == 2
     rc = cli.main(["search", "TC1", "--max-n", "1", "--quiet"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1.5"])
+def test_a_malformed_workers_env_var_is_refused(monkeypatch, capsys, value):
+    # it was read as 1
+    monkeypatch.setenv("IDEALTOP_WORKERS", value)
+    from idealtop.search import default_workers
+    with pytest.raises(IdealTopError):
+        default_workers()
+    assert cli.main(["search", "TC1", "--max-n", "1", "--quiet"]) == 2
+    assert "IDEALTOP_WORKERS" in capsys.readouterr().err
+    # an explicit --workers does not read it
+    assert cli.main(["search", "TC1", "--max-n", "1", "--quiet",
+                     "--workers", "1"]) == 0
+
+
+def test_an_unset_workers_env_var_means_one_worker(monkeypatch):
+    monkeypatch.delenv("IDEALTOP_WORKERS", raising=False)
+    from idealtop.search import default_workers
+    assert default_workers() == 1
 
 
 def test_usage_error_exit_2():

@@ -18,7 +18,7 @@ from idealtop import (BadMask, BadSearchOption, CapExceeded, SearchBounds,
                       Topology, UnknownHypothesisName,
                       enumerate_ideals, enumerate_maps, enumerate_topologies,
                       find_counterexample, sample_search, verify_exhaustive)
-from idealtop import search, space, star
+from idealtop import search
 from idealtop.maps import MapProfile
 from idealtop.search import _orbit_reps, _search
 from idealtop.theorems import ALL_THEOREM_IDS, THEOREMS, Statement
@@ -289,7 +289,7 @@ def mask_profiles_match_classify(ws, blocks):
     masks = {name: test.bind(cv) for name, test in PROFILE_MASKS.items()}
     for ix, iy in blocks:
         tx, ty = ws.tops_x[ix], ws.tops_y[iy]
-        ctx = search.thm._Ctx(star._side_tables(tx, 0), None, None, None)
+        ctx = search.thm._Ctx(search._side(tx.n, ix, 0), None, None, None)
         for f, img, pre in zip(ws.maps, ws.imgs, ws.pres):
             ctx.img, ctx.pre = img, pre
             flags = {name: bool(mask(ctx) >> iy & 1)
@@ -392,8 +392,8 @@ def test_column_tables_are_keyed_by_codomain_size_and_carriers():
 
 
 def clear_table_caches():
-    for cached in (star._side_tables, star._top_tables, search._workspace,
-                   search._classes, search._columns):
+    for cached in (search._side, search._workspace, search._classes,
+                   search._columns):
         cached.cache_clear()
 
 
@@ -403,14 +403,14 @@ def test_unrestricted_scan_builds_the_sides_of_class_representatives_only():
     # one side per representative (topology, carrier) of each side size,
     # where every labeled pair, 2 + 16 + 232 = 250, would be
     reps = sum(len(ms) for n in (1, 2, 3) for _, ms in search._classes(n)[1])
-    assert star._side_tables.cache_info().currsize == reps == 66
+    assert search._side.cache_info().currsize == reps == 66
 
 
 def test_carrier_scan_builds_the_sides_of_its_carriers_only():
     clear_table_caches()
     verify_exhaustive("TC1", SearchBounds(3, 3), carriers=(0,))
     # one side per topology on 1, 2 and 3 points, with the empty carrier
-    assert star._side_tables.cache_info().currsize == 1 + 4 + 29
+    assert search._side.cache_info().currsize == 1 + 4 + 29
 
 
 def test_sampling_is_deterministic_and_noncertifying():
@@ -686,7 +686,7 @@ def contexts_of_rows(bounds, carriers):
         for ix, xs in rows(ws, carriers):
             for fi in range(len(ws.maps)):
                 for mx in xs:
-                    sx = star._side_tables(ws.tops_x[ix], mx)
+                    sx = search._side(pair[0], ix, mx)
                     ctx = search.thm._Ctx(sx, None, ws.imgs[fi], ws.pres[fi])
                     yield ctx, cv, [
                         search.thm._Ctx(sx, sy, ws.imgs[fi], ws.pres[fi])
@@ -836,6 +836,33 @@ def test_statements_decide_as_the_check_verdict_does():
     assert checked == 1_124
 
 
+# each codomain psi transport with the star transport of the reversed
+# relation: psi(B) = Y - (Y - B)* and f^-1 commutes with complements, so
+# psi_X(f^-1 B) <= f^-1[psi_Y(B)] iff (f^-1 C)* >= f^-1[C*] for C = Y - B
+PSI_STAR_DUALS = [(search.thm.Transport("psi", "codomain", rel),
+                   search.thm.Transport("star", "codomain", rev))
+                  for rel, rev in (("<=", ">="), (">=", "<="), ("==", "=="))]
+
+
+def test_codomain_psi_transports_are_the_reversed_star_transports():
+    # per instance on every labeled instance up to (2,2), and as masks on
+    # every (map, domain carrier) of every representative row up to (3,3)
+    bounds = SearchBounds(2, 2)
+    checked = 0
+    for _, _, scalars in contexts_of_rows(bounds, all_carriers(bounds)):
+        for one in scalars:
+            for psi_t, star_t in PSI_STAR_DUALS:
+                assert psi_t.holds(one) == star_t.holds(one), (psi_t, one)
+        checked += len(scalars)
+    assert checked == 1_124
+    forms = {}
+    for ctx, cv, _ in contexts_of_rows(SearchBounds(3, 3), None):
+        if cv.n not in forms:
+            forms[cv.n] = [(p.bind(cv), s.bind(cv)) for p, s in PSI_STAR_DUALS]
+        for psi_mask, star_mask in forms[cv.n]:
+            assert psi_mask(ctx) == star_mask(ctx)
+
+
 def test_verify_sampling_never_evaluates_an_unreported_conclusion(
         monkeypatch):
     # CLOSEDSUR's `b` is informational, and follows `a`, the last
@@ -860,7 +887,6 @@ def test_certification_enumerates_no_open_set_and_no_carrier_one_by_one(
     # from empty caches; a scalar checker could only decide another
     # codomain carrier of a block by switching the context's codomain side
     clear_table_caches()
-    space._opens_of.cache_clear()
     enumerated = []
     opens = Topology.opens
     monkeypatch.setattr(Topology, "opens",

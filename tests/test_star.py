@@ -11,7 +11,6 @@ from idealtop import (Ideal, IdealSpace, Topology, check_local_function_laws,
                       local_function_by_definition, psi,
                       psi_topology, sierpinski, star_closure, star_topology)
 from idealtop.errors import DimensionMismatch
-from idealtop.star import _TopT
 from idealtop.search import enumerate_ideals, enumerate_topologies
 
 
@@ -27,13 +26,13 @@ def test_space_dimension_check():
 
 
 def test_closure_table_is_the_closure_of_every_subset():
-    # the union recurrence of _TopT against Topology.closure, on every
-    # topology with at most 4 points and on 16-point discrete and chain
-    # spaces
+    # the union recurrence of Topology._closures against Topology.closure,
+    # on every topology with at most 4 points and on 16-point discrete and
+    # chain spaces
     tops = [t for n in (1, 2, 3, 4) for t in enumerate_topologies(n)]
     tops += [discrete(16), Topology(16, tuple((2 << x) - 1 for x in range(16)))]
     for top in tops:
-        assert _TopT(top).cl == tuple(top.closure(a)
+        assert top._closures == tuple(top.closure(a)
                                       for a in range(top.full + 1)), top
 
 

@@ -16,10 +16,10 @@ from idealtop import (ALL_THEOREM_IDS, BadPoint, CapExceeded, FiniteMap,
 from idealtop.cli import _closed_twin_collapse_instance
 from idealtop import theorems as thm
 from idealtop.errors import DimensionMismatch
-from idealtop.search import (SearchBounds, _workspace, enumerate_ideals,
-                             enumerate_maps, enumerate_topologies,
-                             verify_exhaustive)
-from idealtop.star import _Carriers, _side_tables
+from idealtop.search import (SearchBounds, _side, _workspace,
+                             enumerate_ideals, enumerate_maps,
+                             enumerate_topologies, verify_exhaustive)
+from idealtop.star import _Carriers
 
 
 def seeds(n):
@@ -41,7 +41,7 @@ def test_registry_contents():
 def test_registry_is_consistent():
     # the members rule reads only plain conclusions, and the test oracle
     # reads the designated conclusion off the verdict's reported ones
-    side = _side_tables(sierpinski(), 0b10)
+    side = IdealSpace(sierpinski(), Ideal(2, 0b10))._side
     for spec in thm.THEOREMS.values():
         names = [c.name for c in spec.concls]
         info = [c.name for c in spec.concls if not c.report]
@@ -85,7 +85,7 @@ def test_quantified_conclusions_match_their_definitions():
     sides += [(oracles.STAR_CONT, "codomain"), (oracles.STAR_OPEN, "domain")]
     count = 0
     for inst in instances_up_to(2):
-        ctx = thm._ctx_for(inst)
+        ctx = inst._ctx
         X, Y, f = oracles.Ops(inst.X), oracles.Ops(inst.Y), inst.f
         for concl, side in sides:
             if side == "domain":
@@ -126,7 +126,7 @@ def test_neighborhood_forms_match_the_open_set_walks():
     assert len(decls) == 9
     count = 0
     for inst in walk_instances():
-        ctx = thm._ctx_for(inst)
+        ctx = inst._ctx
         walked = oracles.predicates_by_walk(inst)
         assert walked.keys() == decls
         for decl, want in walked.items():
@@ -161,7 +161,6 @@ def test_check_all_classifies_the_map_once_per_instance(monkeypatch):
         return classify(*args)
 
     monkeypatch.setattr(thm, "classify", counted)
-    thm._ctx_for.cache_clear()
     x = IdealSpace(sierpinski(), Ideal(2, 0b10))
     y = IdealSpace(discrete(2), Ideal(2, 0))
     for inst in (Instance(x, y, identity_map(2)),
@@ -397,16 +396,15 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
 def fresh_columns():
     """Column tables of every (topology, carrier) on two points, built
     here, so that no plan on them is shared with the search's."""
-    return _Carriers(2, [[_side_tables(t, m) for m in range(4)]
-                         for t in enumerate_topologies(2)])
+    return _Carriers(2, [[_side(2, iy, m) for m in range(4)]
+                         for iy in range(4)])
 
 
 def kernel_ctx():
     """A context as the search's kernel builds it, with no codomain side:
     a two-point domain with a carrier, and a map onto two points."""
     ws = _workspace(2, 2)
-    return thm._Ctx(_side_tables(ws.tops_x[1], 1), None, ws.imgs[1],
-                    ws.pres[1])
+    return thm._Ctx(_side(2, 1, 1), None, ws.imgs[1], ws.pres[1])
 
 
 def bound_mask(decl, cv):
@@ -505,12 +503,12 @@ def test_level1_hypotheses_read_only_the_profile_and_the_codomain_topology():
     assert len(level1) == 8
     for n_dom, n_cod in SearchBounds(3, 3).size_pairs()[:-1]:
         ws = _workspace(n_dom, n_cod)
-        for tx in ws.tops_x:
-            for ty in ws.tops_y:
+        for ix, tx in enumerate(ws.tops_x):
+            for iy, ty in enumerate(ws.tops_y):
                 for img, pre in zip(ws.imgs, ws.pres):
                     for test in level1:
                         assert len({test.holds(thm._Ctx(
-                            _side_tables(tx, mx), _side_tables(ty, my),
+                            _side(n_dom, ix, mx), _side(n_cod, iy, my),
                             img, pre))
                             for mx in range(1 << n_dom)
                             for my in range(1 << n_cod)}) == 1, (test, tx, ty)
