@@ -54,8 +54,11 @@ def _emit_json(doc: dict, path: Optional[str]) -> None:
     if path == "-":
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise IdealTopError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,6 @@ def _demo_collapse_cont() -> bool:
     print("original both gain the twin, so collapsing them stays continuous")
     print("and surjective with small preimages, but is no longer injective.")
     _print_instance(inst)
-    x_full = full_mask(inst.X.n)
     orig = mask_of(range(seed.n), inst.X.n)
     lhs = psi(inst.Y, inst.f.image(orig))
     rhs = inst.f.image(psi(inst.X, orig))
@@ -464,3 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -5,9 +5,9 @@ Instances are enumerated in a fixed canonical order: size pairs
 ideal carrier, codomain topology, codomain carrier, map (value table
 lexicographic).  Work is partitioned into rows, one domain topology with
 its carriers each, against every codomain (topology, carrier) column; a
-row reports the least candidate of each topology-pair block by the
-canonical key, and the aggregator takes the overall minimum, so the result
-is identical for any worker count.
+row reports its least candidate by the canonical key, and the aggregator
+takes the overall minimum, so the result is identical for any worker
+count.
 
 Hypothesis evaluation is staged, and each stage decides every column of
 a row at once, as a bitmask over them (see :func:`_run_row`): the
@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
@@ -256,10 +255,10 @@ def _side(n: int, ix: int, carrier: int) -> _Side:
 @lru_cache(maxsize=None)
 def _columns(n: int, carriers: Optional[tuple[int, ...]]) -> _Carriers:
     """The columns of every scan row on ``n`` codomain points, one bit
-    position per (topology, carrier) of :func:`_blocks`, block by block,
+    position per (topology, carrier) of :func:`_blocks`, in their order,
     with their tables (:class:`star._Carriers`)."""
-    return _Carriers(n, [[_side(n, iy, my) for my in ys]
-                         for iy, ys in _blocks(n, carriers)])
+    return _Carriers(n, [_side(n, iy, my) for iy, ys in _blocks(n, carriers)
+                         for my in ys])
 
 
 class _Workspace:
@@ -289,36 +288,31 @@ def _workspace(n_dom: int, n_cod: int) -> _Workspace:
 _Row = tuple[int, Sequence[int]]
 
 
-def _run_row(args) -> tuple[list[tuple], int, int]:
+def _run_row(args) -> tuple[Optional[tuple], int, int]:
     """Worker task: scan one row against every column of :func:`_columns`.
 
-    Returns the least candidate of each block that has one, as
-    [(iy, mx, my, fi), ...] in block order, with the row's instances that
-    pass the level-1 gate and both gates.  Every stage decides all columns
-    at once, as a mask over the positions, by the statement's plan bound to
-    the columns (:meth:`theorems.Statement.plan`): the level-1 gates, which
-    read no carrier, once per map, then the level-2 gates and the violations
-    once per (map, m_x).  Within a block the lowest set bit of the violation mask is
-    the least m_y.  A block's positions leave the violation masks, never
-    the gates, once its candidate has a smaller m_x, since no later map can
-    beat it there.
+    Returns the row's least candidate as (mx, iy, my, fi), or None, with
+    the row's instances that pass the level-1 gate and both gates.  Every
+    stage decides all columns at once, as a mask over the positions, by the
+    statement's plan bound to the columns (:meth:`theorems.Statement.plan`):
+    the level-1 gates, which read no carrier, once per map, then the level-2
+    gates and the violations once per (map, m_x).  The positions run in
+    canonical (iy, my) order, so the lowest set bit of a violation mask is
+    the least column.  Once the row has a candidate, a later map evaluates
+    violations only below its position at its m_x and at no larger m_x,
+    since it cannot beat the candidate elsewhere; the gates run regardless.
     Workspaces, columns and plans are built lazily per process, so the
     function is safe under any multiprocessing start method.
     """
     stmt, n_dom, n_cod, carriers, (ix, mx_range) = args
-    blocks = _blocks(n_cod, carriers)
-    if not mx_range or not blocks:
-        return [], 0, 0
+    if not mx_range or not _blocks(n_cod, carriers):
+        return None, 0, 0
     ws = _workspace(n_dom, n_cod)
     cv = _columns(n_cod, carriers)
     sides_x = [_side(n_dom, ix, mx) for mx in mx_range]
     gates1, gates2, violated = stmt.plan(cv)
     ctx = thm._Ctx(sides_x[0], None, None, None)
-    # each block's least candidate as (index of m_x, position, fi), and
-    # for each index of m_x the positions of the blocks whose candidate
-    # has a smaller one
-    best: dict[int, tuple[int, int, int]] = {}
-    settled = [0] * len(mx_range)
+    best = None  # the least candidate so far, as (index of m_x, position, fi)
     level1 = level2 = 0
     for fi in range(len(ws.maps)):
         ctx.img, ctx.pre = ws.imgs[fi], ws.pres[fi]
@@ -341,29 +335,22 @@ def _run_row(args) -> tuple[list[tuple], int, int]:
             if not live:
                 continue
             level2 += live.bit_count()
-            live &= ~settled[j]
-            if not live:
-                continue
-            bad = violated(ctx, live)
-            while bad:
-                pos = (bad & -bad).bit_length() - 1
-                k = bisect_right(cv.starts, pos) - 1
-                bad &= ~cv.spans[k]
-                if k not in best or (j, pos) < best[k][:2]:
-                    best[k] = (j, pos, fi)
-                    for later in range(j + 1, len(settled)):
-                        settled[later] |= cv.spans[k]
-    hits = []
-    for k in sorted(best):
-        j, pos, fi = best[k]
-        iy, ys = blocks[k]
-        hits.append((iy, mx_range[j], ys[pos - cv.starts[k]], fi))
-    return hits, level1, level2
+            if best is not None and j >= best[0]:
+                live &= (1 << best[1]) - 1 if j == best[0] else 0
+            if live and (bad := violated(ctx, live)):
+                best = (j, (bad & -bad).bit_length() - 1, fi)
+    if best is None:
+        return None, level1, level2
+    j, pos, fi = best
+    for iy, ys in _blocks(n_cod, carriers):
+        if pos < len(ys):
+            return (mx_range[j], iy, ys[pos], fi), level1, level2
+        pos -= len(ys)
 
 
 def _scan_rows(stmt: thm.Statement, n_dom: int, n_cod: int,
                carriers: Optional[tuple[int, ...]], rows: Sequence[_Row],
-               workers: int) -> Iterator[tuple[list[tuple], int, int]]:
+               workers: int) -> Iterator[tuple[Optional[tuple], int, int]]:
     """Scan the rows, in a process pool when more than one worker is asked
     for, and yield the result of each row (see :func:`_run_row`) in row
     order as the rows finish.  The pool has at most one process per row
@@ -394,7 +381,7 @@ def _instance_from_key(ws: _Workspace, ix: int, mx: int, iy: int, my: int,
         ws.maps[fi])
 
 
-ProgressFn = Callable[[str, int, int], None]  # row id, scanned, hit blocks
+ProgressFn = Callable[[str, int, int], None]  # row id, scanned, hit rows
 
 
 def _search(stmt: thm.Statement, bounds: SearchBounds, workers: Optional[int],
@@ -403,7 +390,7 @@ def _search(stmt: thm.Statement, bounds: SearchBounds, workers: Optional[int],
             ) -> tuple[int, Optional[tuple], dict]:
     """Scan everything within bounds.  Returns (nominal instances checked,
     least global key or None, stats), and calls ``progress`` with the
-    instances scanned and the blocks with a candidate so far as each row
+    instances scanned and the rows with a candidate so far as each row
     finishes.
 
     Without ``carriers`` each size pair is scanned over its relabeling
@@ -416,8 +403,8 @@ def _search(stmt: thm.Statement, bounds: SearchBounds, workers: Optional[int],
     likewise: the reduced scan walks that key, and it walks only labeled
     instances, so its least key is the labeled one.
     """
-    instances = scanned = hit_blocks = level1 = level2 = 0
-    keys: list[tuple] = []
+    instances = scanned = level1 = level2 = 0
+    keys: list[tuple] = []  # one per row with a candidate
 
     for size_idx, (n_dom, n_cod) in enumerate(bounds.size_pairs()):
         ws = _workspace(n_dom, n_cod)
@@ -428,17 +415,16 @@ def _search(stmt: thm.Statement, bounds: SearchBounds, workers: Optional[int],
         rows = (ws.orbits_x if carriers is None
                 else [(ix, mx_range) for ix in range(len(ws.tops_x))])
         columns = sum(len(ys) for _, ys in _blocks(n_cod, carriers))
-        for (ix, xs), (hits, l1, l2) in zip(rows, _scan_rows(
+        for (ix, xs), (hit, l1, l2) in zip(rows, _scan_rows(
                 stmt, n_dom, n_cod, carriers, rows, workers or 1)):
             scanned += len(ws.maps) * len(xs) * columns
             level1 += l1
             level2 += l2
-            hit_blocks += len(hits)
-            keys += [(size_idx, ix, mx, iy, my, fi)
-                     for iy, mx, my, fi in hits]
+            if hit is not None:
+                keys.append((size_idx, ix, *hit))
             if progress is not None:
                 progress(f"n=({n_dom},{n_cod}) domain={ix}", scanned,
-                         hit_blocks)
+                         len(keys))
     return instances, min(keys, default=None), {
         "instances_scanned": scanned, "level1_passed": level1,
         "level2_passed": level2}

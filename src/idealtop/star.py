@@ -130,9 +130,6 @@ class _Carriers(dict):
     bit position each, so that a mask over the positions decides every
     column at once (the mask forms in ``theorems`` read them).
 
-    The columns come in blocks of consecutive positions, one per codomain
-    topology, with its carriers ascending: block ``k`` starts at position
-    ``starts[k]`` and holds the positions of ``spans[k]``.
     ``self[op, test][b][u]``, for codomain subsets ``b`` and ``u``, is the
     mask of the positions whose column has ``u <= op(b)`` ("sub"),
     ``op(b) <= u`` ("sup"), ``u == op(b)`` ("eq") or ``u`` disjoint from
@@ -144,20 +141,15 @@ class _Carriers(dict):
     first read.
     """
 
-    __slots__ = ("sides", "n", "full", "full_y", "starts", "spans", "plans")
+    __slots__ = ("sides", "n", "full", "full_y", "plans")
 
-    def __init__(self, n: int, blocks: list[list[_Side]]) -> None:
+    def __init__(self, n: int, sides: list[_Side]) -> None:
         super().__init__()
-        self.sides = [s for block in blocks for s in block]
+        self.sides = sides
         self.n = n
-        self.full = (1 << len(self.sides)) - 1
+        self.full = (1 << len(sides)) - 1
         self.full_y = (1 << n) - 1
-        self.starts, self.spans, self.plans = [], [], {}
-        at = 0
-        for block in blocks:
-            self.starts.append(at)
-            self.spans.append(((1 << len(block)) - 1) << at)
-            at += len(block)
+        self.plans = {}
 
     def __missing__(self, key):
         if key in ("regular", "hausdorff"):  # flags of the side's topology

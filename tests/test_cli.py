@@ -1,6 +1,9 @@
 """Exit-code contract and output formats of the command-line front door."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -202,6 +205,37 @@ def test_search_json_report(tmp_path):
     doc = json.loads(open(out_path).read())
     assert doc["certified"] is True
     assert doc["instances_checked"] == 4 + 64 + 32 + 1024
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_an_unwritable_json_path_is_exit_2(identity_instance_file, tmp_path,
+                                           capsys, command, target):
+    # a missing directory, or a directory itself, raised from open(), and
+    # the traceback exited 1, the exit of a failed conclusion
+    argv = (["check", identity_instance_file, "TC1"] if command == "check"
+            else ["search", "TC1", "--max-n", "2", "--quiet"])
+    path = str(tmp_path / target)
+    assert cli.main(argv + ["--json", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_the_module_runs_as_a_script():
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "idealtop.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+    counted = module("enumerate", "--what", "topologies", "--n", "3",
+                     "--count-only")
+    assert (counted.returncode, counted.stdout.strip()) == (0, "29")
+    # a counterexample, where the module without its main guard printed
+    # nothing and exited 0
+    found = module("search", "TC1", "--drop", "continuous", "--max-n", "2",
+                   "--quiet")
+    assert found.returncode == 1 and "counterexample" in found.stdout
 
 
 @pytest.mark.parametrize("name,expected", [

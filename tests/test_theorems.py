@@ -396,8 +396,8 @@ def test_homeo_hr_reports_equivalences_not_raw_flags(sierp_space):
 def fresh_columns():
     """Column tables of every (topology, carrier) on two points, built
     here, so that no plan on them is shared with the search's."""
-    return _Carriers(2, [[_side(2, iy, m) for m in range(4)]
-                         for iy in range(4)])
+    return _Carriers(2, [_side(2, iy, m) for iy in range(4)
+                         for m in range(4)])
 
 
 def kernel_ctx():
