@@ -16,7 +16,7 @@ from typing import Any
 from .errors import IdealTopError, InputFileError
 from .ideal import Ideal, make_ideal
 from .maps import FiniteMap
-from .space import MAX_POINTS, Topology, full_mask, make_topology, mask_of
+from .space import MAX_POINTS, Topology, full_mask, make_topology
 
 
 def _expect_dict(doc: Any, where: str) -> dict:
@@ -38,14 +38,13 @@ def _expect_list(doc: Any, where: str) -> list:
 
 
 def _point_list_to_mask(doc: Any, n: int, where: str) -> int:
-    pts = _expect_list(doc, where)
-    for i, p in enumerate(pts):
-        if not isinstance(p, int) or isinstance(p, bool):
-            _expect_int(p, f"{where}[{i}]")
-    try:
-        return mask_of(pts, n)
-    except IdealTopError as exc:
-        raise InputFileError(f"{where}: {exc}") from exc
+    mask = 0
+    for i, p in enumerate(_expect_list(doc, where)):
+        if not 0 <= _expect_int(p, f"{where}[{i}]") < n:
+            raise InputFileError(
+                f"{where}: point {p!r} outside ground set 0..{n - 1}")
+        mask |= 1 << p
+    return mask
 
 
 def parse_topology(doc: Any, where: str = "topology") -> Topology:

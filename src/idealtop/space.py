@@ -195,9 +195,10 @@ def make_topology(n: int, opens: Iterable[int]) -> Topology:
     whole space and be closed under pairwise union and intersection.  Use
     :func:`generate_topology` to close an arbitrary family instead.
 
-    Every member is open in the topology the family generates, so the
-    family is a topology iff it has as many members as that topology has
-    opens; the check reads each member once and each subset once.
+    The opens of the topology the family generates are the unions of its
+    minimal neighborhoods, and every member is among them, so the family
+    is a topology iff it is closed under union with each minimal
+    neighborhood; the check reads each member once per point.
     """
     check_point_count(n)
     family = set()
@@ -210,8 +211,8 @@ def make_topology(n: int, opens: Iterable[int]) -> Topology:
     if full not in family:
         raise NotATopology("family does not contain the whole space "
                            f"{format_mask(full)}")
-    top = generate_topology(n, family)
-    if len(top.opens()) != len(family):
+    top = Topology(n, _min_nbhds(n, family))
+    if any(a | m not in family for a in family for m in top.min_nbhd):
         missing = next(u for u in top.opens() if u not in family)
         raise NotATopology(
             "family not closed under union and intersection: "
@@ -232,15 +233,15 @@ def generate_topology(n: int, family: Iterable[int]) -> Topology:
     for a in family:
         check_mask(a, n)
         members.append(a)
-    full = full_mask(n)
-    min_nbhd = []
-    for x in range(n):
-        m = full
-        for a in members:
-            if (a >> x) & 1:
-                m &= a
-        min_nbhd.append(m)
-    return Topology(n, tuple(min_nbhd))
+    return Topology(n, _min_nbhds(n, members))
+
+
+def _min_nbhds(n: int, members: Iterable[int]) -> tuple[int, ...]:
+    nbhds = [full_mask(n)] * n
+    for a in members:
+        for x in points_of(a):
+            nbhds[x] &= a
+    return tuple(nbhds)
 
 
 def is_open(top: Topology, a: int) -> bool:

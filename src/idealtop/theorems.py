@@ -60,7 +60,9 @@ calls ``bind(cv)`` once per column tables ``cv`` (:class:`star._Carriers`)
 for the mask form, which decides every codomain (topology, carrier) column
 of a scan row at once, as a bitmask over them.  A mask form reads the
 codomain, its topology included, from the column tables only, and the
-same tables as its scalar form; the tests pin the two to each other.
+same tables as its scalar form; the tests pin the two to each other.  A
+scan decides each conclusion by the representative of its class of
+equivalent declarations (:func:`_representative`).
 """
 
 from __future__ import annotations
@@ -404,6 +406,35 @@ class Transport:
 
 # the relation of f[op_X(A)] to op_Y(f[A]) as a carrier-table test
 _DOMAIN_TESTS = {"<=": "sub", ">=": "sup", "==": "eq"}
+_REVERSED = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
+def _representative(decl):
+    """A declaration that holds on exactly the instances where ``decl``
+    does, one per class, so that a scan decides each class once.
+
+    1. ``(op, codomain, <=)`` is ``(op, domain, <=)``, since ``f[.]`` and
+       ``f^-1[.]`` form a Galois connection (``f[S] <= T`` iff
+       ``S <= f^-1 T``) and ``op`` is monotone (``psi(A)`` is
+       ``X - (X - A)*``).  The codomain form at ``B`` reads
+       ``f[op_X(f^-1 B)] <= op_Y(B)``, which the domain form at ``f^-1 B``
+       gives, as ``f[f^-1 B] <= B``.  Conversely the codomain form at
+       ``f[A]`` gives the domain form at ``A``, as ``A <= f^-1 f[A]``.
+    2. ``(psi, codomain, r)`` is ``(star, codomain, reversed r)``:
+       ``psi(B) = Y - (Y - B)*`` and ``f^-1`` commutes with complements,
+       so the relation at ``B`` is the reversed one of ``*`` at ``Y - B``.
+    3. ``(cl_star, domain, <=)`` is star-to-star continuity: ``cl_star``
+       is the closure of the star topology (``x`` is in ``A | A*`` iff
+       ``(N(x) - M) | {x}`` meets ``A``), and a map is continuous iff
+       ``f[cl A] <= cl f[A]`` for every ``A``.
+    """
+    if isinstance(decl, Transport) and decl.side == "codomain":
+        if decl.rel == "<=":
+            return _representative(Transport(decl.op, "domain", "<="))
+        if decl.op == "psi":
+            return _representative(
+                Transport("star", "codomain", _REVERSED[decl.rel]))
+    return _STAR_CONT if decl == Transport("cl_star", "domain", "<=") else decl
 
 
 # ---------------------------------------------------------------------------
@@ -834,16 +865,20 @@ class Statement:
 def _violations(spec: TheoremSpec, decides: tuple, cv: _Carriers):
     # where not all of a group hold and some do: the plain conclusions of
     # ``decides``, and the members of its equivalences, those sharing one
-    # joined, as they fail together where the joined members disagree
+    # joined, as they fail together where the joined members disagree; each
+    # conclusion is decided by its class's representative, bound once and
+    # read once per group
     joined = []
     for group in (set(c.members) for c in decides if c.members):
         meet = [g for g in joined if g & group]
         joined = [g for g in joined if g not in meet] + [group.union(*meet)]
     plain = {c.name for c in decides if not c.members}
-    forms = {c.name: c.fail.bind(cv) for c in spec.concls
-             if c.name in plain.union(*joined)}
+    reps = {c.name: _representative(c.fail) for c in spec.concls
+            if c.name in plain.union(*joined)}
+    forms = {r: r.bind(cv) for r in dict.fromkeys(reps.values())}
     full = cv.full
-    groups = [(some, [f for m, f in forms.items() if m in g])
+    groups = [(some, [forms[r] for r in dict.fromkeys(
+                  reps[m] for m in reps if m in g)])
               for some, g in [(full, plain)] + [(0, g) for g in joined]]
     def violated(ctx, live):
         bad = 0

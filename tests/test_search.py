@@ -803,10 +803,12 @@ def test_certification_binds_each_declaration_once_per_theorem_and_size(
         per_size[n] += count
         # a declaration is bound once per theorem whose scan reads it
         assert count <= len(ALL_THEOREM_IDS), decl
-    # per theorem, its level-1 and level-2 hypotheses and the conclusions
-    # a verification reads (65), plus the continuity and openness that
-    # four homeomorphisms bind (8)
-    assert per_size == {1: 73, 2: 73, 3: 73}
+    # per theorem, its level-1 and level-2 hypotheses and one
+    # representative of each class of equivalent conclusions a verification
+    # reads (60, where binding each conclusion read 65: TC1, TO1 and
+    # HOMEO_COR bind one fewer, TC2 two fewer), plus the continuity and
+    # openness that four homeomorphisms bind (8)
+    assert per_size == {1: 68, 2: 68, 3: 68}
 
 
 def violations_with_every_equivalence(spec, forms, ctx, live):
@@ -885,6 +887,41 @@ def test_codomain_psi_transports_are_the_reversed_star_transports():
             forms[cv.n] = [(p.bind(cv), s.bind(cv)) for p, s in PSI_STAR_DUALS]
         for psi_mask, star_mask in forms[cv.n]:
             assert psi_mask(ctx) == star_mask(ctx)
+
+
+# each declaration a scan decides by another, with that representative:
+# the codomain "<=" transports by the domain ones, the other codomain psi
+# transports by the star ones, and the star closure transport by
+# star-to-star continuity (proofs in `theorems._representative`)
+REPRESENTED = [(t, search.thm._representative(t)) for t in (
+    search.thm.Transport("star", "codomain", "<="),
+    search.thm.Transport("cl_star", "codomain", "<="),
+    search.thm.Transport("psi", "codomain", "<="),
+    search.thm.Transport("psi", "codomain", ">="),
+    search.thm.Transport("psi", "codomain", "=="),
+    search.thm.Transport("cl_star", "domain", "<="))]
+
+
+def test_each_represented_declaration_holds_where_its_representative_does():
+    # per instance on every labeled instance up to (2,2), where each holds
+    # and fails somewhere, and as masks on every (map, domain carrier) of
+    # every representative row up to (3,3)
+    assert all(rep != t and search.thm._representative(rep) == rep
+               for t, rep in REPRESENTED)
+    bounds = SearchBounds(2, 2)
+    seen = collections.defaultdict(set)
+    for _, _, scalars in contexts_of_rows(bounds, all_carriers(bounds)):
+        for one in scalars:
+            for t, rep in REPRESENTED:
+                seen[t].add(t.holds(one))
+                assert t.holds(one) == rep.holds(one), (t, one)
+    assert all(seen[t] == {True, False} for t, _ in REPRESENTED)
+    forms = {}
+    for ctx, cv, _ in contexts_of_rows(SearchBounds(3, 3), None):
+        if cv.n not in forms:
+            forms[cv.n] = [(t.bind(cv), r.bind(cv)) for t, r in REPRESENTED]
+        for t_mask, rep_mask in forms[cv.n]:
+            assert t_mask(ctx) == rep_mask(ctx)
 
 
 def test_verify_sampling_never_evaluates_an_unreported_conclusion(

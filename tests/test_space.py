@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from strategies import preorders
 from idealtop import (BadMask, CapExceeded, NotATopology, Topology, closure,
-                      discrete, full_mask, generate_topology, indiscrete,
-                      interior, is_open, make_topology, mask_of, points_of,
-                      separation_profile, sierpinski, topology_to_json)
+                      discrete, format_mask, full_mask, generate_topology,
+                      indiscrete, interior, is_open, make_topology, mask_of,
+                      points_of, separation_profile, sierpinski,
+                      topology_to_json)
 from idealtop.jsonio import parse_topology
 from idealtop.errors import InputFileError
 from idealtop.search import enumerate_topologies
@@ -44,6 +45,40 @@ def test_make_topology_not_closed_under_union():
     # intersection instead: {0,1,2} plus {0,1} and {1,2} without {1}
     with pytest.raises(NotATopology):
         make_topology(3, [0b000, 0b011, 0b110, 0b111])
+
+
+def test_make_topology_names_the_least_missing_open():
+    # every family on three points with the empty set and the whole space
+    # is a topology iff it holds every open set of the topology it
+    # generates, and otherwise the least one missing is named
+    full = full_mask(3)
+    for bits in range(1 << (full - 1)):
+        family = {0, full} | {a for a in range(1, full) if bits >> (a - 1) & 1}
+        opens = generate_topology(3, family).opens()
+        missing = [u for u in opens if u not in family]
+        if not missing:
+            assert make_topology(3, family).opens() == opens
+            continue
+        with pytest.raises(NotATopology, match=re.escape(
+                "family not closed under union and intersection: "
+                f"{format_mask(missing[0])} is missing")):
+            make_topology(3, family)
+    with pytest.raises(InputFileError, match=re.escape(
+            "topology: family not closed under union and intersection: "
+            "{0, 1} is missing")):
+        parse_topology({"n": 3, "opens": [[0], [1]]})
+
+
+def test_parsing_a_topology_enumerates_no_open_set(monkeypatch):
+    # closure is tested by union with each minimal neighborhood, not by
+    # walking the 2^16 subsets
+    enumerated = []
+    opens = Topology.opens
+    monkeypatch.setattr(Topology, "opens",
+                        lambda top: enumerated.append(top) or opens(top))
+    doc = {"n": 16, "opens": [[], list(range(16))]}
+    assert parse_topology(doc) == indiscrete(16)
+    assert enumerated == []
 
 
 def test_make_topology_stray_bits():
